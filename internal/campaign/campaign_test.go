@@ -275,3 +275,25 @@ func TestLoadMatrix(t *testing.T) {
 		t.Fatal("unknown field accepted")
 	}
 }
+
+// transportsMatrixJSON is a matrix in the schema that still carried a
+// "transports" axis; the field no longer exists.
+const transportsMatrixJSON = `{
+	"topologies": ["grid:8x8"],
+	"algorithms": [{"task": "broadcast", "algo": "cd17"}],
+	"transports": ["sim", "lockstep"],
+	"seeds": 3,
+	"master_seed": 1
+}`
+
+// TestLoadMatrixRejectsTransports: a config carrying the removed
+// "transports" field fails to load, and the error names the field.
+func TestLoadMatrixRejectsTransports(t *testing.T) {
+	_, err := LoadMatrix(strings.NewReader(transportsMatrixJSON))
+	if err == nil {
+		t.Fatal("matrix with a transports field accepted")
+	}
+	if !strings.Contains(err.Error(), `"transports"`) {
+		t.Fatalf("error does not name the field: %v", err)
+	}
+}

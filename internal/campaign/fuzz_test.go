@@ -1,6 +1,11 @@
 package campaign
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+)
 
 // FuzzParseFaultSpec asserts the fault-spec parser never panics and that
 // accepted specs round-trip: reparsing the canonical Spec string yields
@@ -85,5 +90,58 @@ func FuzzTopologySpec(f *testing.F) {
 		if again.Spec != topo.Spec {
 			t.Fatalf("canonical spec drifted: %q -> %q -> %q", s, topo.Spec, again.Spec)
 		}
+	})
+}
+
+// maxFuzzTrials bounds the expansion FuzzLoadMatrix attempts: expand
+// allocates one Trial per (config, seed), so a fuzzer-chosen seed count
+// would make memory, not validation, the failure mode.
+const maxFuzzTrials = 1 << 16
+
+// FuzzLoadMatrix asserts the JSON matrix loader and the (unmaterialized)
+// expansion never panic, and that a loaded matrix round-trips: it
+// re-marshals to JSON that loads back to an equal matrix. Graphs are
+// never built — only specs are parsed and algorithms resolved.
+func FuzzLoadMatrix(f *testing.F) {
+	for _, seed := range []string{
+		`{"topologies":["grid:4x8","path:16"],"algorithms":[{"task":"broadcast","algo":"cd17"}],"seeds":4,"master_seed":99}`,
+		`{"topologies":["grid:6x6"],"algorithms":[{"task":"leader","algo":"cd17"},{"task":"leader","algo":"max-broadcast"}],"faults":["none","crash:0.3@20"],"seeds":3,"master_seed":1,"max_rounds":500}`,
+		`{"topologies":["path:8"],"algorithms":[{"task":"leader","algo":"gh13"}],"faults":["loss:0.1"],"seeds":1}`,
+		`{"topologies":[],"algorithms":null,"faults":[],"seeds":0}`,
+		transportsMatrixJSON,
+		`{"unknown_field": 1}`,
+		`{"seeds": -1, "master_seed": 18446744073709551615}`,
+		`[]`,
+		`{`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := LoadMatrix(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatalf("loaded matrix does not marshal: %v", err)
+		}
+		again, err := LoadMatrix(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("re-marshaled matrix %s does not reload: %v", b, err)
+		}
+		// omitempty drops an empty faults list, which reloads as nil; the
+		// two mean the same (no fault axis).
+		if len(m.Faults) == 0 {
+			m.Faults = nil
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip drifted: %+v reloaded as %+v", m, again)
+		}
+		cells := int64(len(m.Topologies)) * int64(len(m.Algorithms)) * int64(max(len(m.Faults), 1))
+		if m.Seeds > 0 && cells > 0 && int64(m.Seeds) > maxFuzzTrials/cells {
+			return
+		}
+		m.expand()
 	})
 }

@@ -2,19 +2,16 @@ package campaign
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from the current code")
-
-// TestGoldenSinks pins absolute sink bytes: each matrix below is the one
-// a CI `cmp` smoke step runs through cmd/campaign (master seed 1, JSONL),
-// and its output must equal the committed file byte for byte. The files
-// are regenerated only with -update-golden, and only when a change is
-// meant to alter results.
+// TestGoldenSinks pins absolute sink bytes: each matrix below is one a CI
+// `cmp` smoke step runs through cmd/campaign, and its JSONL must equal the
+// committed file byte for byte. A file is the stdout of
+// `go run ./cmd/campaign <flags> -format jsonl` with the flags noted at
+// its case; regenerate it only when a change is meant to alter results.
 func TestGoldenSinks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full protocol trials")
@@ -27,13 +24,17 @@ func TestGoldenSinks(t *testing.T) {
 		name string
 		m    Matrix
 	}{
+		// -topos grid:8x8,path:64,cliquepath:8x4 -algos cd17,bgi -seeds 5
 		{"determinism", Matrix{
 			Topologies: []string{"grid:8x8", "path:64", "cliquepath:8x4"},
 			Algorithms: []AlgoSpec{{Broadcast, "cd17"}, {Broadcast, "bgi"}},
 			Seeds:      5,
 			MasterSeed: 1,
 		}},
+		// -preset faults
 		{"faults", faults},
+		// -topos grid:6x6 -task leader -algos cd17,max-broadcast
+		// -faults none,crash:0.3@20 -seeds 3
 		{"leader-faults", Matrix{
 			Topologies: []string{"grid:6x6"},
 			Algorithms: []AlgoSpec{{Leader, "cd17"}, {Leader, "max-broadcast"}},
@@ -41,6 +42,7 @@ func TestGoldenSinks(t *testing.T) {
 			Seeds:      3,
 			MasterSeed: 1,
 		}},
+		// -topos grid:8x8 -algos cd17,bgi -faults crash:0.3@50 -seeds 3
 		{"crash-grid", Matrix{
 			Topologies: []string{"grid:8x8"},
 			Algorithms: []AlgoSpec{{Broadcast, "cd17"}, {Broadcast, "bgi"}},
@@ -60,12 +62,6 @@ func TestGoldenSinks(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "golden", tc.name+".jsonl")
-			if *updateGolden {
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
 			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
