@@ -64,3 +64,30 @@ func BenchmarkHW16Broadcast100kRandTree(b *testing.B) {
 func BenchmarkCD17Broadcast10kRandTreePerNode(b *testing.B) {
 	benchCompete(b, graph.RandomTree(10_000, rng.New(7)), false, true)
 }
+
+// BenchmarkCD17LeaderCliquePath16x80 mirrors perfbench's
+// cd17-leader-cliques workload: leader election on 16 cliques of 80, a
+// dense graph with many candidate sources, one election per iteration
+// through a shared Pre.
+func BenchmarkCD17LeaderCliquePath16x80(b *testing.B) {
+	g := graph.PathOfCliques(16, 80)
+	pre := NewPre(g, g.DiameterEstimate(), Config{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rounds int64
+	for i := 0; i < b.N; i++ {
+		le, err := NewLeaderElectionPre(pre, LeaderConfig{}, uint64(i)+1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var done bool
+		rounds, done = le.Run(8 * le.Budget())
+		if !done {
+			b.Fatal("election incomplete")
+		}
+		if err := le.Verify(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rounds), "radio-rounds")
+}

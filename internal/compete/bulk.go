@@ -2,6 +2,8 @@ package compete
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"radionet/internal/decay"
 	"radionet/internal/radio"
@@ -17,10 +19,12 @@ import (
 // lengths depend only on the fine clustering in play), and the background
 // lane's clock is global (round-robin fids, shared slot lengths). The bulk
 // path therefore keeps one clock per coarse cluster plus one background
-// clock, and each round's transmitters come from a single pass over the
-// flat storage in increasing id order, drawing per-node randomness under
-// exactly the reference implementation's gates — observational identity is
-// enforced by the equivalence tests in bulk_test.go.
+// clock. An ICP round is one pass over the flat storage in increasing id
+// order; a helper round visits only the members of fine clusters whose
+// shared coin admits them to the current Decay phase (memberIndex). Both
+// draw per-node randomness under exactly the reference implementation's
+// gates — observational identity is enforced by the equivalence tests in
+// bulk_test.go.
 type bulkState struct {
 	c     *Compete
 	shims []bnode
@@ -38,18 +42,18 @@ type bulkState struct {
 	// probability 2^-(s+1): rnd.Uint64()>>11 < thr[s] is the same draw and
 	// outcome as rnd.Bernoulli(schedule.Prob(level, t)) at s = t%level.
 	thr []uint64
+	// recip[l] is the fastmod reciprocal of ladder length l, so that
+	// fastmod(step, recip[l], l) == step%l without a division.
+	recip []uint64
 	// helperThr is the same table for the Algorithm-4 decay steps.
 	helperThr []uint64
 
 	scratch []clkInfo // per-main-clock derived values for the current round
 
-	// Helper-lane cluster-coin cache: every member of a fine cluster
-	// computes the same HashFloat(coinSeed, fid, center, window), so the
-	// hash is evaluated once per (center, fid, window) and memoized under
-	// a stamp that encodes (window, fid). One cache per helper lane —
-	// the lanes differ in coin seed and fid space.
-	mainCoin coinCache
-	bgCoin   coinCache
+	// Helper-lane member indexes, one per clustering (mainIdx[fid] serves
+	// c.mains[fid], bgIdx[fid] serves c.bgs[fid]).
+	mainIdx []memberIndex
+	bgIdx   []memberIndex
 }
 
 // laneClock is one shared Intra-Cluster Propagation clock (see icpState;
@@ -64,39 +68,33 @@ type laneClock struct {
 
 // clkInfo carries one clock's per-round derived values into the node pass.
 type clkInfo struct {
-	f        *fine
+	lvl      []uint8 // the clustering's fine.lvl
+	center   []int32 // the clustering's fine centers
+	step     uint32  // offset within the current sub-phase
 	boundary bool
 	subphase int8
-	step     int64 // offset within the current sub-phase
 }
 
-// coinCache memoizes the shared per-cluster helper coin, keyed by fine
-// cluster center and stamped by (window, fid) so stale windows and
-// clustering switches invalidate lazily.
-type coinCache struct {
-	coin  []float64
-	stamp []uint64 // 0 = empty; otherwise 1 + window*numFine + fid
+// memberIndex lists the nodes of one fine clustering that lie within its
+// curtailment, grouped by main-lane clock and, within a clock, by fine
+// center (the background lane has a single clock). Every member of a
+// group shares the Algorithm-4 coin, so a helper round evaluates it once
+// per group and visits only the members of groups whose coin passes.
+type memberIndex struct {
+	clk     []int32       // clock k's groups are groups[clk[k]:clk[k+1]]
+	groups  []memberGroup // in (clock, center) order
+	members []int32       // group g is members[groups[g-1].end:groups[g].end], ascending
 }
 
-func (cc *coinCache) init(n int) {
-	cc.coin = make([]float64, n)
-	cc.stamp = make([]uint64, n)
+// memberGroup is one (clock, fine center) run of a memberIndex.
+type memberGroup struct {
+	center int32
+	end    int32
+	// coin caches the shared coin: (window+1)<<1 | admitted, 0 = empty.
+	coin uint64
 }
 
-// get returns HashFloat(seed, fid, center, window), computing it at most
-// once per (center, fid, window).
-func (cc *coinCache) get(seed uint64, numFine int, fid int32, center int32, window int64) float64 {
-	key := 1 + uint64(window)*uint64(numFine) + uint64(fid)
-	if cc.stamp[center] == key {
-		return cc.coin[center]
-	}
-	v := rng.HashFloat(seed, uint64(fid), uint64(center), uint64(window))
-	cc.stamp[center] = key
-	cc.coin[center] = v
-	return v
-}
-
-func newBulkState(c *Compete) *bulkState {
+func newBulkState(c *Compete, scr *buildScratch) *bulkState {
 	n := c.g.N()
 	s := &bulkState{
 		c:         c,
@@ -107,7 +105,7 @@ func newBulkState(c *Compete) *bulkState {
 		bgFlood:   make([]int64, n),
 	}
 	// Compact clock ids per coarse cluster, assigned in first-member order.
-	compact := make([]int32, n)
+	compact := scr.cnt[:n]
 	for i := range compact {
 		compact[i] = -1
 	}
@@ -122,28 +120,26 @@ func newBulkState(c *Compete) *bulkState {
 	s.scratch = make([]clkInfo, len(s.mainClk))
 	maxLevel := 1
 	for i := range c.mains {
-		if l := c.mains[i].sched.MaxLevel; l > maxLevel {
-			maxLevel = l
-		}
+		maxLevel = max(maxLevel, c.mains[i].maxLevel)
+		s.mainIdx = append(s.mainIdx, newMemberIndex(&c.mains[i], s.ci, len(s.mainClk), scr))
 	}
 	for i := range c.bgs {
-		if l := c.bgs[i].sched.MaxLevel; l > maxLevel {
-			maxLevel = l
-		}
+		maxLevel = max(maxLevel, c.bgs[i].maxLevel)
+		s.bgIdx = append(s.bgIdx, newMemberIndex(&c.bgs[i], nil, 1, scr))
 	}
 	s.thr = make([]uint64, maxLevel)
+	s.recip = make([]uint64, maxLevel+1)
 	for i := range s.thr {
 		// 2^-(i+1) and 2^53 are exact powers of two, so the integer test
 		// (Uint64>>11) < ceil(p*2^53) equals Float64() < p — same draw,
 		// same outcome as the reference rnd.Bernoulli (cf. decay's table).
 		s.thr[i] = uint64(math.Ceil(math.Ldexp(1, -(i+1)) * (1 << 53)))
+		s.recip[i+1] = ^uint64(0)/uint64(i+1) + 1
 	}
 	s.helperThr = make([]uint64, c.l4)
 	for i := range s.helperThr {
 		s.helperThr[i] = uint64(math.Ceil(decay.Prob(i) * (1 << 53)))
 	}
-	s.mainCoin.init(n)
-	s.bgCoin.init(n)
 	s.shims = make([]bnode, n)
 	for v := range s.shims {
 		s.shims[v] = bnode{s: s, id: int32(v)}
@@ -151,7 +147,78 @@ func newBulkState(c *Compete) *bulkState {
 	return s
 }
 
-// ActBulk implements radio.BulkActor: one pass over the flat node state in
+// newMemberIndex builds f's memberIndex with two stable counting sorts of
+// the nodes within curtailment (by center, then by clock), so members stay
+// ascending within a group. ci maps nodes to their clock among nclk; nil
+// means every node is on clock 0. The temporaries come from scr.
+func newMemberIndex(f *fine, ci []int32, nclk int, scr *buildScratch) memberIndex {
+	n := len(f.lvl)
+	center := f.part.Center
+	clock := func(v int32) int32 {
+		if ci == nil {
+			return 0
+		}
+		return ci[v]
+	}
+	cnt := scr.cnt[:n+1]
+	clear(cnt)
+	m := 0
+	for v, lv := range f.lvl {
+		if lv != 0 {
+			cnt[center[v]+1]++
+			m++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		cnt[i] += cnt[i-1]
+	}
+	byCenter := scr.order[:m]
+	for v, lv := range f.lvl {
+		if lv != 0 {
+			byCenter[cnt[center[v]]] = int32(v)
+			cnt[center[v]]++
+		}
+	}
+	members := make([]int32, m)
+	cnt = scr.cnt[:nclk+1]
+	clear(cnt)
+	for _, v := range byCenter {
+		cnt[clock(v)+1]++
+	}
+	for k := 1; k <= nclk; k++ {
+		cnt[k] += cnt[k-1]
+	}
+	for _, v := range byCenter {
+		members[cnt[clock(v)]] = v
+		cnt[clock(v)]++
+	}
+	// Groups are the runs of equal (clock, center); clk[k+1] counts the
+	// groups of clocks 0..k.
+	ix := memberIndex{clk: make([]int32, nclk+1), members: members}
+	newGroup := func(i int) bool {
+		return i == 0 || clock(members[i]) != clock(members[i-1]) || center[members[i]] != center[members[i-1]]
+	}
+	ng := 0
+	for i := range members {
+		if newGroup(i) {
+			ng++
+			ix.clk[clock(members[i])+1]++
+		}
+	}
+	for k := 1; k <= nclk; k++ {
+		ix.clk[k] += ix.clk[k-1]
+	}
+	ix.groups = make([]memberGroup, 0, ng)
+	for i, v := range members {
+		if newGroup(i) {
+			ix.groups = append(ix.groups, memberGroup{center: center[v]})
+		}
+		ix.groups[len(ix.groups)-1].end = int32(i + 1)
+	}
+	return ix
+}
+
+// ActBulk implements radio.BulkActor: the round's transmitters in
 // increasing id order, mirroring cnode.Act exactly (same gates, same RNG
 // draws per node, same messages).
 //
@@ -181,6 +248,17 @@ func (s *bulkState) ActBulk(t int64, tx []int32, msgs []radio.Message) ([]int32,
 	}
 }
 
+// icpInfo derives a clock's per-round values for the node pass.
+func icpInfo(cl *laneClock, f *fine) clkInfo {
+	return clkInfo{
+		lvl:      f.lvl,
+		center:   f.part.Center,
+		step:     uint32(cl.offset % f.subLen),
+		boundary: cl.offset == 0 || cl.offset == 2*f.subLen,
+		subphase: int8(cl.offset / f.subLen),
+	}
+}
+
 // actMain runs one main-lane ICP round: derive each coarse clock's slot
 // position, pass over the nodes, then advance the clocks (post-pass, so a
 // same-round Recv sees the rolled-over fid exactly as the reference does).
@@ -188,20 +266,14 @@ func (s *bulkState) actMain(tx []int32, msgs []radio.Message) ([]int32, []radio.
 	c := s.c
 	for i := range s.mainClk {
 		cl := &s.mainClk[i]
-		f := &c.mains[cl.fid]
-		s.scratch[i] = clkInfo{
-			f:        f,
-			boundary: cl.offset == 0 || cl.offset == 2*f.subLen,
-			subphase: int8(cl.offset / f.subLen),
-			step:     cl.offset % f.subLen,
-		}
+		s.scratch[i] = icpInfo(cl, &c.mains[cl.fid])
 	}
 	tx, msgs = s.icpPass(s.ci, s.scratch, s.mainHeard, s.mainFlood, tx, msgs)
 	for i := range s.mainClk {
 		cl := &s.mainClk[i]
 		cl.subphase = s.scratch[i].subphase
 		cl.offset++
-		if cl.offset >= s.scratch[i].f.slotLen {
+		if cl.offset >= c.mains[cl.fid].slotLen {
 			cl.offset = 0
 			cl.k++
 			cl.fid = c.mainFid(cl.center, cl.k)
@@ -215,14 +287,9 @@ func (s *bulkState) actBg(tx []int32, msgs []radio.Message) ([]int32, []radio.Me
 	c := s.c
 	cl := &s.bgClk
 	f := &c.bgs[cl.fid]
-	info := clkInfo{
-		f:        f,
-		boundary: cl.offset == 0 || cl.offset == 2*f.subLen,
-		subphase: int8(cl.offset / f.subLen),
-		step:     cl.offset % f.subLen,
-	}
-	tx, msgs = s.icpPass(nil, []clkInfo{info}, s.bgHeard, s.bgFlood, tx, msgs)
-	cl.subphase = info.subphase
+	info := [1]clkInfo{icpInfo(cl, f)}
+	tx, msgs = s.icpPass(nil, info[:], s.bgHeard, s.bgFlood, tx, msgs)
+	cl.subphase = info[0].subphase
 	cl.offset++
 	if cl.offset >= f.slotLen {
 		cl.offset = 0
@@ -234,21 +301,29 @@ func (s *bulkState) actBg(tx []int32, msgs []radio.Message) ([]int32, []radio.Me
 
 // icpPass is the shared per-node loop of one ICP lane round. ci maps each
 // node to its clock in clks; a nil ci means every node shares clks[0]
-// (the background lane).
+// (the background lane). The first pass draws for every node the
+// reference gates admit and writes the transmitters into tx's spare
+// capacity; the second builds their messages.
 //
 //radionet:hotpath
 func (s *bulkState) icpPass(ci []int32, clks []clkInfo, heard []bool, flood []int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
 	c := s.c
 	gm := c.globalMax
+	rnd := c.rnd[:len(gm)]
+	heard, flood = heard[:len(gm)], flood[:len(gm)]
+	thr, recip := s.thr, s.recip
+	start := len(tx)
+	tx = slices.Grow(tx, len(gm))
+	out := tx[start : start+len(gm)]
+	k := 0
 	for v := range gm {
 		info := &clks[0]
 		if ci != nil {
 			info = &clks[ci[v]]
 		}
-		f := info.f
 		if info.boundary {
 			// Outward sub-phase begins: only the center holds the flood.
-			if f.part.Center[v] == int32(v) {
+			if info.center[v] == int32(v) {
 				heard[v] = true
 				flood[v] = gm[v]
 			} else {
@@ -256,29 +331,50 @@ func (s *bulkState) icpPass(ci []int32, clks []clkInfo, heard []bool, flood []in
 				flood[v] = Uninformed
 			}
 		}
-		if f.part.Dist[v] > f.curtail || !heard[v] {
+		lv := info.lvl[v]
+		if lv == 0 || !heard[v] {
 			continue
+		}
+		// Inward sub-phase: relay only strictly better knowledge.
+		if info.subphase == 1 && gm[v] <= flood[v] {
+			continue
+		}
+		out[k] = int32(v)
+		k += below(rnd[v].Uint64()>>11, thr[fastmod(info.step, recip[lv], lv)])
+	}
+	tx = tx[:start+k]
+	base := len(msgs)
+	msgs = slices.Grow(msgs, k)[:base+k]
+	for j, v := range tx[start:] {
+		info := &clks[0]
+		if ci != nil {
+			info = &clks[ci[v]]
 		}
 		a := flood[v] // outward sub-phases flood the cluster value
 		if info.subphase == 1 {
-			// Inward sub-phase: relay only strictly better knowledge.
-			if gm[v] <= flood[v] {
-				continue
-			}
 			a = gm[v]
 		}
-		level := int64(f.sched.Levels[v])
-		if c.rnd[v].Uint64()>>11 < s.thr[info.step%level] {
-			tx = append(tx, int32(v))
-			msgs = append(msgs, radio.Message{Kind: KindICP, A: a, B: int64(f.part.Center[v])})
-		}
+		msgs[base+j] = radio.Message{Kind: KindICP, A: a, B: int64(info.center[v])}
 	}
 	return tx, msgs
 }
 
+// below returns 1 if a < b and 0 otherwise, without a branch; a and b must
+// be below 2^63.
+func below(a, b uint64) int { return int((a - b) >> 63) }
+
+// fastmod returns a % d given m = ^uint64(0)/d + 1, exact for every 32-bit
+// a and d (Lemire, Kaser and Kurz, "Faster remainder by direct
+// computation", 2019).
+func fastmod(a uint32, m uint64, d uint8) uint32 {
+	hi, _ := bits.Mul64(m*uint64(a), uint64(d))
+	return uint32(hi)
+}
+
 // actHelper runs one Algorithm-4 helper round for the main or background
 // companion lane (cf. cnode.actHelper; the window/step/phase values are
-// lane-global and hoisted out of the node loop).
+// lane-global). Only members of admitted groups draw; the transmitters
+// are then sorted into id order and given their messages.
 //
 //radionet:hotpath
 func (s *bulkState) actHelper(isMain bool, lt int64, tx []int32, msgs []radio.Message) ([]int32, []radio.Message) {
@@ -287,44 +383,82 @@ func (s *bulkState) actHelper(isMain bool, lt int64, tx []int32, msgs []radio.Me
 	window := lt / l4
 	step := int(lt % l4)
 	i := int(window%l4) + 1
-	p := decay.Prob(i - 1) // 2^-i, shift-clamped for large phase lengths
-	coinSeed := c.coinMain
-	heard, flood := s.mainHeard, s.mainFlood
-	cache, numFine := &s.mainCoin, len(c.mains)
-	if !isMain {
-		coinSeed = c.coinBg
-		heard, flood = s.bgHeard, s.bgFlood
-		cache, numFine = &s.bgCoin, len(c.bgs)
+	h := helperRound{
+		rnd:    c.rnd,
+		stamp:  uint64(window+1) << 1,
+		window: uint64(window),
+		p:      decay.Prob(i - 1), // 2^-i, shift-clamped for large phase lengths
+		thr:    s.helperThr[step],
 	}
-	thr := s.helperThr[step]
-	bgFid := s.bgClk.fid
-	for v := range heard {
-		if !heard[v] {
-			continue
+	start := len(tx)
+	if isMain {
+		h.seed, h.heard = c.coinMain, s.mainHeard
+		for k := range s.mainClk {
+			fid := s.mainClk[k].fid
+			ix := &s.mainIdx[fid]
+			tx = h.draw(ix, ix.clk[k], ix.clk[k+1], fid, tx)
 		}
-		fid := bgFid
-		if isMain {
-			fid = s.mainClk[s.ci[v]].fid
-		}
+	} else {
+		h.seed, h.heard = c.coinBg, s.bgHeard
+		fid := s.bgClk.fid
+		ix := &s.bgIdx[fid]
+		tx = h.draw(ix, 0, int32(len(ix.groups)), fid, tx)
+	}
+	sent := tx[start:]
+	slices.Sort(sent)
+	for _, v := range sent {
+		var a int64
 		var f *fine
 		if isMain {
-			f = &c.mains[fid]
+			a, f = s.mainFlood[v], &c.mains[s.mainClk[s.ci[v]].fid]
 		} else {
-			f = &c.bgs[fid]
+			a, f = s.bgFlood[v], &c.bgs[s.bgClk.fid]
 		}
-		if f.part.Dist[v] > f.curtail {
-			continue
-		}
-		center := f.part.Center[v]
-		if cache.get(coinSeed, numFine, fid, center, window) >= p {
-			continue // cluster sat this Decay phase out
-		}
-		if c.rnd[v].Uint64()>>11 < thr {
-			tx = append(tx, int32(v))
-			msgs = append(msgs, radio.Message{Kind: KindICP, A: flood[v], B: int64(center)})
-		}
+		msgs = append(msgs, radio.Message{Kind: KindICP, A: a, B: int64(f.part.Center[v])})
 	}
 	return tx, msgs
+}
+
+// helperRound holds one helper round's lane-global values.
+type helperRound struct {
+	rnd    []rng.Rand
+	heard  []bool
+	seed   uint64  // the lane's coin seed
+	stamp  uint64  // memberGroup.coin of this window, admission bit clear
+	window uint64  // the Decay window
+	p      float64 // this window's participation probability
+	thr    uint64  // this step's transmission threshold
+}
+
+// draw appends the transmitters among groups [lo, hi) of ix, a clock's
+// groups on clustering fid: a group's members draw only when the shared
+// coin HashFloat(seed, fid, center, window) admits the cluster to this
+// Decay phase, and only those that heard the cluster flood.
+//
+//radionet:hotpath
+func (h *helperRound) draw(ix *memberIndex, lo, hi int32, fid int32, tx []int32) []int32 {
+	var from int32
+	if lo > 0 {
+		from = ix.groups[lo-1].end
+	}
+	for g := lo; g < hi; g++ {
+		gr := &ix.groups[g]
+		if gr.coin&^1 != h.stamp {
+			gr.coin = h.stamp
+			if rng.HashFloat(h.seed, uint64(fid), uint64(gr.center), h.window) < h.p {
+				gr.coin |= 1
+			}
+		}
+		if gr.coin&1 != 0 {
+			for _, v := range ix.members[from:gr.end] {
+				if h.heard[v] && h.rnd[v].Uint64()>>11 < h.thr {
+					tx = append(tx, v)
+				}
+			}
+		}
+		from = gr.end
+	}
+	return tx
 }
 
 // RecvBulk implements radio.BulkReceiver: the round's deliveries in one
@@ -367,7 +501,7 @@ func (s *bulkState) recvOne(t int64, v int, msg *radio.Message) {
 		f = &c.bgs[cl.fid]
 		heard, flood = s.bgHeard, s.bgFlood
 	}
-	if f.part.Center[v] != int32(msg.B) || f.part.Dist[v] > f.curtail {
+	if f.part.Center[v] != int32(msg.B) || f.lvl[v] == 0 {
 		return
 	}
 	if cl.subphase != 1 || lane == laneHelper || lane == laneBgHelper {

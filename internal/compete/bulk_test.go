@@ -59,7 +59,10 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 		{"collision-detection", Config{}, true},
 	}
 	for seed := uint64(1); seed <= 2; seed++ {
-		for gi, g := range bulkEquivGraphs(seed) {
+		// A tree large enough that the main lane always runs several
+		// clocks; on the small graphs the count depends on the seed.
+		big := graph.RandomTree(1500, rng.New(seed).Fork(9))
+		for gi, g := range append(bulkEquivGraphs(seed), big) {
 			d := g.DiameterEstimate()
 			sources := map[int]int64{0: 9}
 			if gi%2 == 1 { // multi-source with distinct values
@@ -91,6 +94,9 @@ func TestBulkMatchesPerNodeRoundForRound(t *testing.T) {
 				}
 				if rc.Engine.Bulk != nil || rc.Engine.BulkRecv != nil {
 					t.Fatalf("%s %s: bulk seams installed despite Wrap", g, vr.name)
+				}
+				if g == big && len(bc.bulk.mainClk) < 2 {
+					t.Fatalf("%s %s: %d main-lane clock, want several", g, vr.name, len(bc.bulk.mainClk))
 				}
 				bc.Engine.CollisionDetection = vr.cd
 				rc.Engine.CollisionDetection = vr.cd

@@ -157,13 +157,16 @@ func (c Config) withDefaults(d int) Config {
 
 // fine bundles one fine clustering with its schedule and slot geometry.
 type fine struct {
-	part    *cluster.Result
-	sched   *schedule.Schedule
-	beta    float64
-	j       int
-	curtail int32
-	subLen  int64 // rounds per sub-phase (out, in, out)
-	slotLen int64 // 3 * subLen
+	part *cluster.Result
+	// lvl[v] is v's schedule ladder length (schedule.Schedule.Levels) if
+	// v lies within the curtailment (Dist[v] <= curtail), and 0 beyond it.
+	lvl      []uint8
+	maxLevel int // the schedule's MaxLevel
+	beta     float64
+	j        int
+	curtail  int32
+	subLen   int64 // rounds per sub-phase (out, in, out)
+	slotLen  int64 // 3 * subLen
 }
 
 // icpState is one lane's Intra-Cluster Propagation position for a node.
@@ -386,7 +389,15 @@ func NewWithPreFaults(pre *Pre, seed uint64, sources map[int]int64, plan *radio.
 		c.Engine = radio.NewEngine(g, rn)
 		return c, nil
 	}
-	c.bulk = newBulkState(c)
+	for _, fs := range [][]fine{c.mains, c.bgs} {
+		for _, f := range fs {
+			if f.subLen > math.MaxUint32 {
+				// The bulk path keeps sub-phase offsets in 32 bits.
+				return nil, fmt.Errorf("compete: sub-phase of %d rounds exceeds 2^32", f.subLen)
+			}
+		}
+	}
+	c.bulk = newBulkState(c, scr)
 	for v := 0; v < n; v++ {
 		rn[v] = &c.bulk.shims[v]
 	}
@@ -404,14 +415,21 @@ func (c *Compete) newFine(part *cluster.Result, sch *schedule.Schedule, beta flo
 	if subLen < 4 {
 		subLen = 4
 	}
+	lvl := make([]uint8, len(sch.Levels))
+	for v, l := range sch.Levels {
+		if part.Dist[v] <= ell {
+			lvl[v] = uint8(l) // a ladder is at most 32 (int32 contention)
+		}
+	}
 	return fine{
-		part:    part,
-		sched:   sch,
-		beta:    beta,
-		j:       j,
-		curtail: ell,
-		subLen:  subLen,
-		slotLen: 3 * subLen,
+		part:     part,
+		lvl:      lvl,
+		maxLevel: sch.MaxLevel,
+		beta:     beta,
+		j:        j,
+		curtail:  ell,
+		subLen:   subLen,
+		slotLen:  3 * subLen,
 	}
 }
 

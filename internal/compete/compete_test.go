@@ -22,6 +22,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(empty, 1, Config{}, 1, map[int]int64{0: 1}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
+	// The bulk path keeps sub-phase offsets in 32 bits.
+	if _, err := New(g, 9, Config{HopSlack: 1e10}, 1, map[int]int64{0: 1}); err == nil {
+		t.Fatal("sub-phase longer than 2^32 rounds accepted")
+	}
 }
 
 func TestBroadcastSmallFamilies(t *testing.T) {

@@ -109,7 +109,7 @@ func (nd *cnode) actICP(st *icpState, fines []fine, isMain bool) radio.Action {
 	action := radio.Listen
 	dist := f.part.Dist[nd.id]
 	if dist <= f.curtail {
-		level := f.sched.Levels[nd.id]
+		level := int32(f.lvl[nd.id])
 		switch st.subphase {
 		case 0, 2: // outward flood of the center's value
 			if st.heard && nd.c.rnd[nd.id].Bernoulli(schedule.Prob(level, st.offset%f.subLen)) {

@@ -41,12 +41,15 @@ type Pre struct {
 }
 
 // buildScratch is the per-construction mutable state recycled through
-// Pre.pool: the Partition priority-queue/settled buffers and the
-// schedule contention buffer. Not safe for concurrent use; NewWithPre
-// checks one out for the duration of a single construction.
+// Pre.pool: the Partition priority-queue/settled buffers, the schedule
+// contention buffer and the counting-sort buffers of the bulk path's
+// member indexes. Not safe for concurrent use; NewWithPre checks one out
+// for the duration of a single construction.
 type buildScratch struct {
-	part cluster.Scratch
-	cont []int32
+	part  cluster.Scratch
+	cont  []int32
+	cnt   []int32 // len n+1
+	order []int32 // len n
 }
 
 // NewPre computes the seed-independent precomputation geometry for
@@ -98,8 +101,10 @@ func (p *Pre) scratch() (*buildScratch, func()) {
 	if s == nil {
 		s = &buildScratch{}
 	}
-	if len(s.cont) < p.g.N() {
-		s.cont = make([]int32, p.g.N())
+	if n := p.g.N(); len(s.cont) < n {
+		s.cont = make([]int32, n)
+		s.cnt = make([]int32, n+1)
+		s.order = make([]int32, n)
 	}
 	return s, func() { p.pool.Put(s) }
 }
