@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"radionet/internal/bench"
-	"radionet/internal/precompute"
 )
 
 func main() {
@@ -41,7 +40,6 @@ func run() error {
 		out      = flag.String("out", ".", "output directory for BENCH_<grid>.json files")
 		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 0, "intra-round engine shards per trial (0 = auto-split spare cores on large graphs, 1 = off)")
-		cacheDir = flag.String("cache-dir", "", "precompute disk-cache directory, shared across grids (empty = off; never changes measured output, only setup wall time)")
 		appendH  = flag.Bool("append", false, "append to the trajectory: fold an existing BENCH_<grid>.json's measurement into the new file's history instead of discarding it")
 		validate = flag.Bool("validate", false, "validate the bench files given as arguments and exit")
 		list     = flag.Bool("list", false, "list the pinned grids and exit")
@@ -98,15 +96,9 @@ func run() error {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
-	// One store across every grid in this invocation, so grids sharing a
-	// topology (decay and compete both pin randtree:1e4/1e5 under the same
-	// master seed) build each product once per run; with -cache-dir the
-	// products additionally persist across reruns. Sharing is output-
-	// neutral: equal keys mean identical graphs.
-	store := precompute.NewStore(*cacheDir)
 	for _, g := range grids {
 		start := time.Now()
-		f, err := bench.Run(g, *quick, *workers, *shards, store)
+		f, err := bench.Run(g, *quick, *workers, *shards)
 		if err != nil {
 			return err
 		}

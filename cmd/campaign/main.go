@@ -35,7 +35,6 @@ import (
 	"radionet/internal/bench"
 	"radionet/internal/campaign"
 	"radionet/internal/obs"
-	"radionet/internal/precompute"
 	"radionet/internal/protocol"
 )
 
@@ -56,7 +55,6 @@ func run() error {
 		seed     = flag.Uint64("seed", 1, "master seed")
 		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 0, "intra-round engine shards per trial (0 = auto-split spare cores on large graphs, 1 = off; output is byte-identical at any value)")
-		cacheDir = flag.String("cache-dir", "", "precompute disk-cache directory (empty = off; output is byte-identical with the cache off, cold or warm)")
 		maxR     = flag.Int64("maxrounds", 0, "per-trial round budget (0 = algorithm default)")
 		format   = flag.String("format", "text", "output format: text|csv|jsonl")
 		timings  = flag.Bool("timings", false, "include wall-time aggregates (non-deterministic)")
@@ -162,9 +160,6 @@ func run() error {
 		}()
 	}
 	c := campaign.Campaign{Matrix: m, Workers: *workers, Timings: *timings, EngineShards: *shards}
-	if *cacheDir != "" {
-		c.Cache = precompute.NewStore(*cacheDir)
-	}
 	// The telemetry surface: all of it observes the run without touching
 	// the sink stream, so stdout stays byte-identical with or without it.
 	var st campaign.RunStats

@@ -18,24 +18,12 @@ import (
 
 	"radionet/internal/campaign"
 	"radionet/internal/obs"
-	"radionet/internal/precompute"
 )
 
-// SchemaVersion is bumped on any incompatible File change. Version 2
-// added the Shards field (intra-round engine shard count); version 3
-// added the History trajectory (prior runs' headline measurements,
-// appended by cmd/bench -append); version 4 split the setup phase out
-// of the headline wall time (SetupMS, per-entry setup_ms) and recorded
-// the precompute-cache status (Cache). Older files still parse (see
-// Parse).
-const SchemaVersion = 4
-
-// The older versions Parse still accepts.
-const (
-	schemaV1 = 1
-	schemaV2 = 2
-	schemaV3 = 3
-)
+// SchemaVersion is bumped on any incompatible File change. Parse accepts
+// this version only: when the schema changes, the committed files are
+// migrated once rather than parsed through a per-version ladder.
+const SchemaVersion = 5
 
 // File is one emitted BENCH_<grid>.json: the grid identity, the execution
 // environment and one record per grid configuration. Entries reuse the
@@ -50,8 +38,7 @@ type File struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Workers    int    `json:"workers"`
 	// Shards is the largest intra-round engine shard count any
-	// configuration ran with (schema 2+; 0 on parsed version-1 files, 1
-	// when sharding was off).
+	// configuration ran with (1 when sharding was off).
 	Shards int `json:"shards,omitempty"`
 	// ConfigHash fingerprints the expanded matrix (campaign.Matrix.Hash),
 	// so two files are comparable only when their hashes agree.
@@ -64,16 +51,13 @@ type File struct {
 	RoundsPerSec float64 `json:"rounds_per_sec"`
 	// SetupMS is the setup-phase wall time — topology materialization and
 	// scratch construction — measured separately from WallMS, which has
-	// always excluded setup (schema 4+).
+	// always excluded setup.
 	SetupMS float64 `json:"setup_ms,omitempty"`
-	// Cache is the precompute disk-cache status the run executed with:
-	// "off", "cold" or "warm" (schema 4+; see campaign.RunStats.Cache).
-	Cache string `json:"cache,omitempty"`
 	// Entries are the per-configuration records, in configuration order.
 	Entries []obs.ConfigRecord `json:"entries"`
 	// History is the grid's measurement trajectory: the headline numbers
-	// of prior runs, oldest first (schema 3+; cmd/bench -append moves the
-	// previous file's measurement here instead of discarding it).
+	// of prior runs, oldest first (cmd/bench -append moves the previous
+	// file's measurement here instead of discarding it).
 	History []HistoryEntry `json:"history,omitempty"`
 }
 
@@ -91,10 +75,9 @@ type HistoryEntry struct {
 	Quick        bool    `json:"quick,omitempty"`
 	WallMS       float64 `json:"wall_ms"`
 	RoundsPerSec float64 `json:"rounds_per_sec"`
-	// SetupMS and Cache mirror the File fields (schema 4+; zero/empty on
-	// entries snapshotted from older files).
+	// SetupMS mirrors the File field (zero on entries snapshotted from
+	// files predating the setup split).
 	SetupMS float64 `json:"setup_ms,omitempty"`
-	Cache   string  `json:"cache,omitempty"`
 }
 
 // Snapshot condenses the file's current measurement into the history
@@ -111,7 +94,6 @@ func (f *File) Snapshot() HistoryEntry {
 		WallMS:       f.WallMS,
 		RoundsPerSec: f.RoundsPerSec,
 		SetupMS:      f.SetupMS,
-		Cache:        f.Cache,
 	}
 }
 
@@ -225,15 +207,14 @@ func LookupGrid(name string) (Grid, bool) {
 // Run executes one grid and assembles its File. workers 0 means
 // GOMAXPROCS; shards is the campaign's EngineShards knob (0 = auto-split
 // spare cores on large graphs, 1 = off — sharding never changes the
-// measured output, only the wall times); store is the optional precompute
-// disk cache (nil = off — caching never changes the measured output
-// either, only the setup-phase wall time the file now reports). The run
-// itself is silent (no sinks) — the measurements come from the campaign's
-// telemetry surface.
-func Run(g Grid, quick bool, workers, shards int, store *precompute.Store) (*File, error) {
+// measured output, only the wall times). Every run builds its own
+// topology products, so the file's setup_ms measures this grid alone.
+// The run itself is silent (no sinks) — the measurements come from the
+// campaign's telemetry surface.
+func Run(g Grid, quick bool, workers, shards int) (*File, error) {
 	m := g.Matrix(quick)
 	var st campaign.RunStats
-	c := campaign.Campaign{Matrix: m, Workers: workers, EngineShards: shards, Cache: store, Obs: obs.NewRegistry(), Stats: &st}
+	c := campaign.Campaign{Matrix: m, Workers: workers, EngineShards: shards, Obs: obs.NewRegistry(), Stats: &st}
 	if _, err := c.Run(); err != nil {
 		return nil, fmt.Errorf("bench: grid %s: %w", g.Name, err)
 	}
@@ -259,7 +240,6 @@ func FromStats(grid string, m campaign.Matrix, st *campaign.RunStats, reg *obs.R
 		f.Shards = st.Shards
 		f.WallMS = float64(st.Wall.Nanoseconds()) / 1e6
 		f.SetupMS = float64(st.Setup.Nanoseconds()) / 1e6
-		f.Cache = st.Cache
 		for _, cs := range st.Configs {
 			rec := obs.ConfigRecord{
 				Name:        cs.Name,
@@ -283,83 +263,11 @@ func FromStats(grid string, m campaign.Matrix, st *campaign.RunStats, reg *obs.R
 	return f
 }
 
-// fileV1 is the schema-1 wire shape: File without the Shards field. A
-// version-1 file carrying "shards" is schema drift and fails strict
-// parsing, exactly like any other unknown field.
-type fileV1 struct {
-	SchemaVersion int                `json:"schema_version"`
-	Grid          string             `json:"grid"`
-	Generated     string             `json:"generated,omitempty"`
-	Go            string             `json:"go"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	Workers       int                `json:"workers"`
-	ConfigHash    string             `json:"config_hash"`
-	Quick         bool               `json:"quick,omitempty"`
-	WallMS        float64            `json:"wall_ms"`
-	RoundsPerSec  float64            `json:"rounds_per_sec"`
-	Entries       []obs.ConfigRecord `json:"entries"`
-}
-
-// fileV2 is the schema-2 wire shape: File with Shards but without the
-// History trajectory. A version-2 file carrying "history" is schema
-// drift and fails strict parsing.
-type fileV2 struct {
-	SchemaVersion int                `json:"schema_version"`
-	Grid          string             `json:"grid"`
-	Generated     string             `json:"generated,omitempty"`
-	Go            string             `json:"go"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	Workers       int                `json:"workers"`
-	Shards        int                `json:"shards,omitempty"`
-	ConfigHash    string             `json:"config_hash"`
-	Quick         bool               `json:"quick,omitempty"`
-	WallMS        float64            `json:"wall_ms"`
-	RoundsPerSec  float64            `json:"rounds_per_sec"`
-	Entries       []obs.ConfigRecord `json:"entries"`
-}
-
-// fileV3 is the schema-3 wire shape: File with the History trajectory
-// but without the version-4 setup split (setup_ms, cache). A version-3
-// file carrying either is schema drift and fails strict parsing; the
-// per-entry setup_ms smuggling case — entries share the live
-// obs.ConfigRecord shape — is caught by Validate instead.
-type fileV3 struct {
-	SchemaVersion int                `json:"schema_version"`
-	Grid          string             `json:"grid"`
-	Generated     string             `json:"generated,omitempty"`
-	Go            string             `json:"go"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	Workers       int                `json:"workers"`
-	Shards        int                `json:"shards,omitempty"`
-	ConfigHash    string             `json:"config_hash"`
-	Quick         bool               `json:"quick,omitempty"`
-	WallMS        float64            `json:"wall_ms"`
-	RoundsPerSec  float64            `json:"rounds_per_sec"`
-	Entries       []obs.ConfigRecord `json:"entries"`
-	History       []historyV3        `json:"history,omitempty"`
-}
-
-// historyV3 is the schema-3 history-entry wire shape: HistoryEntry
-// without setup_ms and cache.
-type historyV3 struct {
-	Generated    string  `json:"generated,omitempty"`
-	Go           string  `json:"go"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Workers      int     `json:"workers"`
-	Shards       int     `json:"shards,omitempty"`
-	ConfigHash   string  `json:"config_hash"`
-	Quick        bool    `json:"quick,omitempty"`
-	WallMS       float64 `json:"wall_ms"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-}
-
-// Parse decodes and validates a bench file, rejecting unknown fields so
-// schema drift fails loudly in CI rather than silently dropping data.
-// Every supported schema version parses strictly against its own wire
-// shape: a version-1 file must not carry version-2 fields, a version-2
-// file must not carry a history, a version-3 file must not carry the
-// setup split, and nothing unknown anywhere; parsed version-1 files
-// report Shards 0.
+// Parse decodes and validates a bench file. Only SchemaVersion is
+// accepted, and it is checked first so an older file is rejected with the
+// supported version named. Decoding is strict: an unknown field anywhere
+// is schema drift and fails loudly in CI rather than silently dropping
+// data.
 func Parse(b []byte) (*File, error) {
 	var ver struct {
 		SchemaVersion int `json:"schema_version"`
@@ -367,83 +275,14 @@ func Parse(b []byte) (*File, error) {
 	if err := json.Unmarshal(b, &ver); err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
+	if ver.SchemaVersion != SchemaVersion {
+		return nil, fmt.Errorf("bench: schema_version %d, supported %d", ver.SchemaVersion, SchemaVersion)
+	}
 	var f File
-	switch ver.SchemaVersion {
-	case schemaV1:
-		var v1 fileV1
-		if err := strictUnmarshal(b, &v1); err != nil {
-			return nil, fmt.Errorf("bench: schema %d: %w", schemaV1, err)
-		}
-		f = File{
-			SchemaVersion: v1.SchemaVersion,
-			Grid:          v1.Grid,
-			Generated:     v1.Generated,
-			Go:            v1.Go,
-			GOMAXPROCS:    v1.GOMAXPROCS,
-			Workers:       v1.Workers,
-			ConfigHash:    v1.ConfigHash,
-			Quick:         v1.Quick,
-			WallMS:        v1.WallMS,
-			RoundsPerSec:  v1.RoundsPerSec,
-			Entries:       v1.Entries,
-		}
-	case schemaV2:
-		var v2 fileV2
-		if err := strictUnmarshal(b, &v2); err != nil {
-			return nil, fmt.Errorf("bench: schema %d: %w", schemaV2, err)
-		}
-		f = File{
-			SchemaVersion: v2.SchemaVersion,
-			Grid:          v2.Grid,
-			Generated:     v2.Generated,
-			Go:            v2.Go,
-			GOMAXPROCS:    v2.GOMAXPROCS,
-			Workers:       v2.Workers,
-			Shards:        v2.Shards,
-			ConfigHash:    v2.ConfigHash,
-			Quick:         v2.Quick,
-			WallMS:        v2.WallMS,
-			RoundsPerSec:  v2.RoundsPerSec,
-			Entries:       v2.Entries,
-		}
-	case schemaV3:
-		var v3 fileV3
-		if err := strictUnmarshal(b, &v3); err != nil {
-			return nil, fmt.Errorf("bench: schema %d: %w", schemaV3, err)
-		}
-		f = File{
-			SchemaVersion: v3.SchemaVersion,
-			Grid:          v3.Grid,
-			Generated:     v3.Generated,
-			Go:            v3.Go,
-			GOMAXPROCS:    v3.GOMAXPROCS,
-			Workers:       v3.Workers,
-			Shards:        v3.Shards,
-			ConfigHash:    v3.ConfigHash,
-			Quick:         v3.Quick,
-			WallMS:        v3.WallMS,
-			RoundsPerSec:  v3.RoundsPerSec,
-			Entries:       v3.Entries,
-		}
-		for _, h := range v3.History {
-			f.History = append(f.History, HistoryEntry{
-				Generated:    h.Generated,
-				Go:           h.Go,
-				GOMAXPROCS:   h.GOMAXPROCS,
-				Workers:      h.Workers,
-				Shards:       h.Shards,
-				ConfigHash:   h.ConfigHash,
-				Quick:        h.Quick,
-				WallMS:       h.WallMS,
-				RoundsPerSec: h.RoundsPerSec,
-			})
-		}
-	default:
-		// Validate reports unsupported versions; current-version files
-		// parse against the full shape.
-		if err := strictUnmarshal(b, &f); err != nil {
-			return nil, fmt.Errorf("bench: %w", err)
-		}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
@@ -464,52 +303,18 @@ func ParseFile(path string) (*File, error) {
 	return f, nil
 }
 
-// Validate checks the file's internal consistency: the supported schema
-// version and sane per-entry invariants.
+// Validate checks the file's internal consistency: sane headline and
+// per-entry invariants. Parse checks the schema version before decoding.
 func (f *File) Validate() error {
-	if f.SchemaVersion < schemaV1 || f.SchemaVersion > SchemaVersion {
-		return fmt.Errorf("bench: schema_version %d, supported %d-%d", f.SchemaVersion, schemaV1, SchemaVersion)
-	}
-	if f.SchemaVersion < schemaV2 && f.Shards != 0 {
-		return fmt.Errorf("bench: schema_version %d carries shards %d (a version-%d field)", f.SchemaVersion, f.Shards, schemaV2)
-	}
-	if f.SchemaVersion < schemaV3 && len(f.History) != 0 {
-		return fmt.Errorf("bench: schema_version %d carries a %d-entry history (a version-%d field)", f.SchemaVersion, len(f.History), schemaV3)
-	}
-	if f.SchemaVersion < SchemaVersion {
-		// The setup split is a version-4 field everywhere it can appear —
-		// the top level, history entries and per-config entries (whose wire
-		// shape is the live obs.ConfigRecord, so strict parsing alone cannot
-		// catch a smuggled setup_ms there).
-		if f.SetupMS != 0 || f.Cache != "" {
-			return fmt.Errorf("bench: schema_version %d carries the setup split (version-%d fields)", f.SchemaVersion, SchemaVersion)
-		}
-		for i, h := range f.History {
-			if h.SetupMS != 0 || h.Cache != "" {
-				return fmt.Errorf("bench: schema_version %d history entry %d carries the setup split (version-%d fields)", f.SchemaVersion, i, SchemaVersion)
-			}
-		}
-		for i, e := range f.Entries {
-			if e.SetupMS != 0 {
-				return fmt.Errorf("bench: schema_version %d entry %d carries setup_ms (a version-%d field)", f.SchemaVersion, i, SchemaVersion)
-			}
-		}
-	}
 	if f.Shards < 0 {
 		return fmt.Errorf("bench: negative shards %d", f.Shards)
 	}
 	if f.SetupMS < 0 {
 		return fmt.Errorf("bench: negative setup_ms %v", f.SetupMS)
 	}
-	if err := validCache(f.Cache); err != nil {
-		return err
-	}
 	for i, h := range f.History {
 		if h.WallMS < 0 || h.RoundsPerSec < 0 || h.Shards < 0 || h.SetupMS < 0 {
 			return fmt.Errorf("bench: grid %s history entry %d: negative measurement", f.Grid, i)
-		}
-		if err := validCache(h.Cache); err != nil {
-			return fmt.Errorf("bench: grid %s history entry %d: %w", f.Grid, i, err)
 		}
 	}
 	if f.Grid == "" {
@@ -533,16 +338,6 @@ func (f *File) Validate() error {
 	return nil
 }
 
-// validCache checks a cache-status value: empty (older schemas, or a run
-// predating the field) or one of the three campaign statuses.
-func validCache(c string) error {
-	switch c {
-	case "", "off", "cold", "warm":
-		return nil
-	}
-	return fmt.Errorf("bench: unknown cache status %q", c)
-}
-
 // WriteFile writes the bench file as indented JSON to path.
 func (f *File) WriteFile(path string) error {
 	b, err := json.MarshalIndent(f, "", "  ")
@@ -550,10 +345,4 @@ func (f *File) WriteFile(path string) error {
 		return fmt.Errorf("bench: %w", err)
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-func strictUnmarshal(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }

@@ -2,12 +2,12 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"radionet/internal/obs"
-	"radionet/internal/precompute"
 )
 
 func TestGridsListedAndResolvable(t *testing.T) {
@@ -36,15 +36,12 @@ func TestGridsListedAndResolvable(t *testing.T) {
 // committed BENCH_*.json files.
 func TestRunQuickRoundTrip(t *testing.T) {
 	g, _ := LookupGrid("decay")
-	f, err := Run(g, true, 0, 0, nil)
+	f, err := Run(g, true, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !f.Quick || f.Grid != "decay" || f.SchemaVersion != SchemaVersion {
 		t.Fatalf("file header wrong: %+v", f)
-	}
-	if f.Cache != "off" {
-		t.Fatalf("cache = %q without a store, want off", f.Cache)
 	}
 	if len(f.Entries) != 2 { // one topology x two algorithms
 		t.Fatalf("entries = %d, want 2", len(f.Entries))
@@ -98,108 +95,40 @@ func TestParseRejectsBadFiles(t *testing.T) {
 		}
 	}
 	// Unknown fields are schema drift, not data.
-	if _, err := Parse([]byte(`{"schema_version":1,"grid":"g","bogus":true,"entries":[]}`)); err == nil || !strings.Contains(err.Error(), "bogus") {
+	if _, err := Parse([]byte(`{"schema_version":5,"grid":"g","bogus":true,"entries":[]}`)); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("unknown field accepted: %v", err)
 	}
 }
 
-// TestParseSchemaVersions pins the two supported wire shapes: version-1
-// files (no shards field) parse with Shards 0, version-2 files carry it,
-// and a version-1 file smuggling the version-2 field fails strict parsing.
+// TestParseSchemaVersions pins the one supported wire shape: a version-5
+// file parses with its setup split, every older version is rejected with
+// an error naming the supported one, a version-5 file carrying the
+// retired cache field fails as an unknown field, and a future version is
+// rejected.
 func TestParseSchemaVersions(t *testing.T) {
-	entry := `{"name":"randtree:2000/broadcast:bgi","n":2000,"d":20,"trials":2,"rounds_mean":100,"wall_ms_total":1,"wall_ms_mean":0.5}`
-	v1 := `{"schema_version":1,"grid":"decay","go":"go1.x","gomaxprocs":1,"workers":1,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + entry + `]}`
-	f, err := Parse([]byte(v1))
+	entry := `{"name":"randtree:2000/broadcast:bgi","n":2000,"d":20,"trials":2,"rounds_mean":100,"wall_ms_total":1,"wall_ms_mean":0.5,"setup_ms":3}`
+	hist := `{"go":"go1.x","gomaxprocs":1,"workers":1,"shards":1,"config_hash":"h","wall_ms":2,"rounds_per_sec":5,"setup_ms":4}`
+	file := func(version int, extra string) []byte {
+		return []byte(fmt.Sprintf(`{"schema_version":%d,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"setup_ms":7%s,"entries":[%s],"history":[%s]}`,
+			version, extra, entry, hist))
+	}
+	f, err := Parse(file(5, ""))
 	if err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
+		t.Fatalf("v5 file rejected: %v", err)
 	}
-	if f.SchemaVersion != 1 || f.Shards != 0 {
-		t.Fatalf("v1 parse: schema %d shards %d", f.SchemaVersion, f.Shards)
+	if f.SetupMS != 7 || f.Entries[0].SetupMS != 3 || len(f.History) != 1 || f.History[0].SetupMS != 4 {
+		t.Fatalf("v5 parse lost the setup split: %+v", f)
 	}
-	v2 := `{"schema_version":2,"grid":"decay","go":"go1.x","gomaxprocs":1,"workers":1,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + entry + `]}`
-	f, err = Parse([]byte(v2))
-	if err != nil {
-		t.Fatalf("v2 file rejected: %v", err)
-	}
-	if f.SchemaVersion != 2 || f.Shards != 4 {
-		t.Fatalf("v2 parse: schema %d shards %d", f.SchemaVersion, f.Shards)
-	}
-	v1drift := `{"schema_version":1,"grid":"decay","go":"go1.x","gomaxprocs":1,"workers":1,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + entry + `]}`
-	if _, err := Parse([]byte(v1drift)); err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("v1 file with v2 field accepted: %v", err)
-	}
-	hist := `{"go":"go1.x","gomaxprocs":1,"workers":1,"shards":1,"config_hash":"h","wall_ms":2,"rounds_per_sec":5}`
-	v3 := `{"schema_version":3,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + entry + `],"history":[` + hist + `]}`
-	f, err = Parse([]byte(v3))
-	if err != nil {
-		t.Fatalf("v3 file rejected: %v", err)
-	}
-	if f.SchemaVersion != 3 || len(f.History) != 1 || f.History[0].WallMS != 2 {
-		t.Fatalf("v3 parse: %+v", f)
-	}
-	v2drift := `{"schema_version":2,"grid":"decay","go":"go1.x","gomaxprocs":1,"workers":1,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + entry + `],"history":[` + hist + `]}`
-	if _, err := Parse([]byte(v2drift)); err == nil || !strings.Contains(err.Error(), "history") {
-		t.Fatalf("v2 file with v3 field accepted: %v", err)
-	}
-	v4 := `{"schema_version":4,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"shards":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"setup_ms":7,"cache":"warm","entries":[` + entry + `],"history":[` + hist + `]}`
-	f, err = Parse([]byte(v4))
-	if err != nil {
-		t.Fatalf("v4 file rejected: %v", err)
-	}
-	if f.SetupMS != 7 || f.Cache != "warm" {
-		t.Fatalf("v4 parse lost the setup split: %+v", f)
-	}
-	// The setup split is a version-4 field everywhere it can appear.
-	v3drift := `{"schema_version":3,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"setup_ms":7,"entries":[` + entry + `]}`
-	if _, err := Parse([]byte(v3drift)); err == nil || !strings.Contains(err.Error(), "setup_ms") {
-		t.Fatalf("v3 file with top-level setup_ms accepted: %v", err)
-	}
-	smuggled := `{"name":"x","trials":2,"rounds_mean":1,"wall_ms_total":1,"wall_ms_mean":0.5,"setup_ms":3}`
-	v3smuggle := `{"schema_version":3,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"entries":[` + smuggled + `]}`
-	if _, err := Parse([]byte(v3smuggle)); err == nil || !strings.Contains(err.Error(), "setup_ms") {
-		t.Fatalf("v3 file with per-entry setup_ms accepted: %v", err)
-	}
-	badCache := `{"schema_version":4,"grid":"decay","go":"go1.x","gomaxprocs":4,"workers":4,"config_hash":"h","wall_ms":1,"rounds_per_sec":10,"cache":"lukewarm","entries":[` + entry + `]}`
-	if _, err := Parse([]byte(badCache)); err == nil || !strings.Contains(err.Error(), "cache") {
-		t.Fatalf("unknown cache status accepted: %v", err)
-	}
-	if _, err := Parse([]byte(`{"schema_version":5,"grid":"g","entries":[` + entry + `]}`)); err == nil {
-		t.Fatal("future schema version accepted")
-	}
-}
-
-// TestRunCacheEquivalence pins the bench-level cache contract: one grid
-// run with the cache off, cold and warm produces identical deterministic
-// measurements (config hash, trials, rounds), while the file honestly
-// reports which cache state it ran under.
-func TestRunCacheEquivalence(t *testing.T) {
-	g, _ := LookupGrid("decay")
-	dir := t.TempDir()
-	off, err := Run(g, true, 2, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Run(g, true, 2, 1, precompute.NewStore(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Run(g, true, 2, 1, precompute.NewStore(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Cache != "off" || cold.Cache != "cold" || warm.Cache != "warm" {
-		t.Fatalf("cache statuses: %q %q %q, want off cold warm", off.Cache, cold.Cache, warm.Cache)
-	}
-	for _, f := range []*File{cold, warm} {
-		if f.ConfigHash != off.ConfigHash || len(f.Entries) != len(off.Entries) {
-			t.Fatalf("cache changed the grid shape: %+v vs %+v", f, off)
+	for _, v := range []int{1, 2, 3, 4, 6} {
+		if _, err := Parse(file(v, "")); err == nil || !strings.Contains(err.Error(), "supported 5") {
+			t.Errorf("v%d file: err %v, want a rejection naming version 5", v, err)
 		}
-		for i, e := range f.Entries {
-			o := off.Entries[i]
-			if e.Name != o.Name || e.Trials != o.Trials || e.Failures != o.Failures || e.RoundsMean != o.RoundsMean {
-				t.Fatalf("cache changed a measurement: %+v vs %+v", e, o)
-			}
-		}
+	}
+	if _, err := Parse(file(4, `,"cache":"warm"`)); err == nil || !strings.Contains(err.Error(), "supported 5") {
+		t.Errorf("v4 file with cache: err %v, want a rejection naming version 5", err)
+	}
+	if _, err := Parse(file(5, `,"cache":"warm"`)); err == nil || !strings.Contains(err.Error(), `unknown field "cache"`) {
+		t.Errorf("v5 file with cache: err %v, want an unknown-field error", err)
 	}
 }
 

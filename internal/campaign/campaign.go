@@ -29,7 +29,6 @@ import (
 
 	"radionet/internal/graph"
 	"radionet/internal/obs"
-	"radionet/internal/precompute"
 	"radionet/internal/protocol"
 	"radionet/internal/radio"
 	"radionet/internal/rng"
@@ -112,10 +111,10 @@ type Config struct {
 	Topology string // canonical topology spec
 	// Key is the config's topology-product content key (spec + topo
 	// seed): configs with equal keys share one graph, diameter and
-	// dense-adjacency build through the precompute store. G and D are
-	// nil/0 on a plan that has not been materialized yet (Plan.
-	// Materialize; Matrix.Expand materializes before returning).
-	Key precompute.Key
+	// dense-adjacency build. G and D are nil/0 on a plan that has not
+	// been materialized yet (Plan.Materialize; Matrix.Expand materializes
+	// before returning).
+	Key TopoKey
 	G   *graph.Graph
 	D   int // estimated hop diameter, as the model assumes known
 
@@ -123,6 +122,14 @@ type Config struct {
 	// Fault is the cell's fault scenario; the zero value (Spec "") marks a
 	// campaign without a fault axis.
 	Fault FaultSpec
+}
+
+// TopoKey identifies a topology product by content: the canonical
+// topology spec (Topology.Spec) and the seed fed to its generator. Two
+// configs with equal keys build identical graphs.
+type TopoKey struct {
+	Spec string
+	Seed uint64
 }
 
 // Trial is one scheduled protocol run.
@@ -152,33 +159,30 @@ type Plan struct {
 	topos []planTopo
 }
 
-// planTopo is one unique topology product: expansion dedups by content
-// key, so an 8-algorithm matrix holds one planTopo per topology entry,
-// not 8.
+// planTopo is one unique topology product: an 8-algorithm matrix holds
+// one planTopo per topology entry, not 8.
 type planTopo struct {
-	key   precompute.Key
+	key   TopoKey
 	build func() *graph.Graph
 	cfgs  []int // indexes into Plan.Configs sharing this product
 }
 
 // TopoBuild reports how one unique topology product was materialized:
-// its key, where it came from (built / in-memory / disk cache), the wall
-// time spent, and the first configuration referencing it (the one its
-// setup time is attributed to).
+// its key, the wall time spent, and the first configuration referencing
+// it (the one its setup time is attributed to).
 type TopoBuild struct {
-	Key     precompute.Key
-	Outcome precompute.Outcome
-	Wall    time.Duration
-	First   int
+	Key   TopoKey
+	Wall  time.Duration
+	First int
 }
 
-// Materialize resolves every unique topology product through the store —
-// nil store means always build — across a worker pool (workers as in
-// ResolveWorkers), filling Config.G and Config.D for every configuration.
-// Products are deterministic functions of their keys, so materialization
-// order and parallelism never change a sink byte. Idempotent: a second
-// call returns nil.
-func (p *Plan) Materialize(store *precompute.Store, workers int) []TopoBuild {
+// Materialize builds every unique topology product — the graph, its
+// diameter estimate and its warmed dense-adjacency layer — across a
+// worker pool (workers as in ResolveWorkers), filling Config.G and
+// Config.D for every configuration. Products are deterministic functions
+// of their keys, so materialization order and parallelism never change a
+// sink byte. Idempotent: a second call returns nil.
+func (p *Plan) Materialize(workers int) []TopoBuild {
 	if len(p.topos) == 0 {
 		return nil
 	}
@@ -186,13 +190,16 @@ func (p *Plan) Materialize(store *precompute.Store, workers int) []TopoBuild {
 	ForEachWorker(workers, len(p.topos), func(_, i int) {
 		t := &p.topos[i]
 		start := time.Now() //lint:wallclock setup timing is telemetry (manifest/bench only), never part of trial output
-		prod, out := store.GetOrBuild(t.key, t.build)
+		g := t.build()
+		d := g.DiameterEstimate()
+		// Warm the bitset layer here so no trial pays for it on first use.
+		g.DenseAdj()
 		wall := time.Since(start) //lint:wallclock setup timing is telemetry (manifest/bench only), never part of trial output
 		for _, ci := range t.cfgs {
-			p.Configs[ci].G = prod.G
-			p.Configs[ci].D = prod.D
+			p.Configs[ci].G = g
+			p.Configs[ci].D = d
 		}
-		builds[i] = TopoBuild{Key: t.key, Outcome: out, Wall: wall, First: t.cfgs[0]}
+		builds[i] = TopoBuild{Key: t.key, Wall: wall, First: t.cfgs[0]}
 	})
 	p.topos = nil
 	return builds
@@ -202,20 +209,19 @@ func (p *Plan) Materialize(store *precompute.Store, workers int) []TopoBuild {
 // materializes every topology product (seeded from the master seed), so
 // the returned plan is immutable and safe for concurrent trial execution.
 // Campaign.Run uses the two-step form (expand + Materialize) instead, to
-// route product construction through the precompute store.
+// time and attribute each product build.
 func (m Matrix) Expand() (*Plan, error) {
 	p, err := m.expand()
 	if err != nil {
 		return nil, err
 	}
-	p.Materialize(nil, 0)
+	p.Materialize(0)
 	return p, nil
 }
 
 // expand is Expand without materialization: configs carry content keys
-// (Config.Key) but no graphs until Plan.Materialize runs. Keys dedup
-// identical topology products at expansion time — every (algorithm,
-// fault) cell of one topology entry references a single
+// (Config.Key) but no graphs until Plan.Materialize runs. Every
+// (algorithm, fault) cell of one topology entry references a single
 // pending build, which is what makes a wide matrix's setup O(topologies)
 // instead of O(configs).
 func (m Matrix) expand() (*Plan, error) {
@@ -271,7 +277,6 @@ func (m Matrix) expand() (*Plan, error) {
 	master := rng.New(m.MasterSeed)
 	topoStreams := master.Fork(0x70b0)
 	trialStreams := master.Fork(0x7291a1)
-	topoIdx := make(map[precompute.Key]int)
 	for ti, spec := range m.Topologies {
 		topo, err := ParseTopology(spec)
 		if err != nil {
@@ -280,21 +285,18 @@ func (m Matrix) expand() (*Plan, error) {
 		// The per-entry seed derivation is unchanged from the eager-build
 		// era: duplicate topology entries keep distinct seeds (hence
 		// distinct keys and graphs), preserving historical output exactly.
+		// Each entry is therefore its own product.
 		seed := topoStreams.Fork(uint64(ti)).Uint64()
-		key := precompute.Key{Spec: topo.Spec, Seed: seed}
-		t, ok := topoIdx[key]
-		if !ok {
-			t = len(p.topos)
-			topoIdx[key] = t
-			build := topo.Build
-			p.topos = append(p.topos, planTopo{key: key, build: func() *graph.Graph { return build(seed) }})
-		}
+		key := TopoKey{Spec: topo.Spec, Seed: seed}
+		build := topo.Build
+		pt := planTopo{key: key, build: func() *graph.Graph { return build(seed) }}
 		for _, a := range m.Algorithms {
 			for _, fs := range faults {
-				p.topos[t].cfgs = append(p.topos[t].cfgs, len(p.Configs))
+				pt.cfgs = append(pt.cfgs, len(p.Configs))
 				p.Configs = append(p.Configs, Config{Topology: topo.Spec, Key: key, Spec: a, Fault: fs})
 			}
 		}
+		p.topos = append(p.topos, pt)
 	}
 	for ci := range p.Configs {
 		for rep := 0; rep < m.Seeds; rep++ {
@@ -325,13 +327,6 @@ type Campaign struct {
 	// Timings includes wall-time aggregates in the output. They are
 	// non-deterministic, so sinks omit them unless asked.
 	Timings bool
-	// Cache, when non-nil, routes topology-product construction through
-	// the precompute store (-cache-dir wires a disk-backed one): products
-	// already in the store — from an earlier run of the same process or,
-	// disk-backed, any earlier process — skip their graph build entirely.
-	// Cached products are bit-identical to built ones, so the cache moves
-	// setup wall time only, never a sink byte.
-	Cache *precompute.Store
 
 	// The telemetry surface. All three fields are strictly output-neutral:
 	// they observe the run (engine rounds, trial outcomes, wall times)
@@ -383,41 +378,19 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 		}
 		return nil, err
 	}
-	// Setup phase: materialize the deduplicated topology products through
-	// the precompute store (cache-backed when Cache is set), then build
-	// the deduplicated scratches — both across the worker pool. Setup is
-	// timed separately from the run wall (RunStats.Setup vs .Wall,
-	// bench schema v4's setup_ms split); the run wall has excluded setup
-	// since the eager-build era, so the split adds data without moving
-	// any existing measurement's meaning.
+	// Setup phase: materialize the deduplicated topology products, then
+	// build the deduplicated scratches — both across the worker pool.
+	// Setup is timed separately from the run wall (RunStats.Setup vs
+	// .Wall, the bench files' setup_ms split); the run wall has excluded
+	// setup since the eager-build era, so the split adds data without
+	// moving any existing measurement's meaning.
 	setupStart := time.Now() //lint:wallclock setup wall time is telemetry, never part of trial output
 	cfgSetup := make([]time.Duration, len(plan.Configs))
-	builds := plan.Materialize(c.Cache, c.Workers)
-	cacheStatus := "off"
-	if c.Cache.Dir() != "" {
-		cacheStatus = "warm"
-	}
-	var cacheHits, cacheMisses, cacheBytes int64
-	for _, tb := range builds {
+	for _, tb := range plan.Materialize(c.Workers) {
 		cfgSetup[tb.First] += tb.Wall
-		cacheBytes += tb.Outcome.Bytes
-		switch tb.Outcome.Source {
-		case precompute.SourceBuilt:
-			cacheMisses++
-			if cacheStatus == "warm" {
-				cacheStatus = "cold"
-			}
-			if c.Obs != nil {
-				c.Obs.Timer(obs.PrecomputeBuild(tb.Key.Spec, tb.Key.Seed)).Observe(tb.Wall)
-			}
-		default: // disk or in-memory: the build was skipped
-			cacheHits++
+		if c.Obs != nil {
+			c.Obs.Timer(obs.PrecomputeBuild(tb.Key.Spec, tb.Key.Seed)).Observe(tb.Wall)
 		}
-	}
-	if c.Obs != nil && c.Cache != nil {
-		c.Obs.Counter(obs.PrecomputeCacheHits).Add(cacheHits)
-		c.Obs.Counter(obs.PrecomputeCacheMisses).Add(cacheMisses)
-		c.Obs.Counter(obs.PrecomputeCacheBytes).Add(cacheBytes)
 	}
 	scratches := buildScratches(plan, c.Workers, cfgSetup)
 	setup := time.Since(setupStart) //lint:wallclock setup wall time is telemetry, never part of trial output
@@ -509,7 +482,7 @@ func (c *Campaign) Run(sinks ...Sink) ([]ConfigSummary, error) {
 		}
 	}
 	if c.Stats != nil {
-		*c.Stats = RunStats{Wall: wall, Setup: setup, Cache: cacheStatus, Workers: workers, Shards: shardsUsed, Configs: make([]ConfigStats, len(plan.Configs))}
+		*c.Stats = RunStats{Wall: wall, Setup: setup, Workers: workers, Shards: shardsUsed, Configs: make([]ConfigStats, len(plan.Configs))}
 		for ci := range plan.Configs {
 			cfg := &plan.Configs[ci]
 			cs := &c.Stats.Configs[ci]

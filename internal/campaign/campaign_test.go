@@ -58,6 +58,59 @@ func TestExpandDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestExpandSharesOneProductPerKey pins the plan-level dedup: every
+// (algorithm, fault) cell of one topology entry references one pending
+// product, materialized once and shared by pointer, while two identical
+// topology entries keep their distinct per-entry seeds and graphs.
+func TestExpandSharesOneProductPerKey(t *testing.T) {
+	m := Matrix{
+		Topologies: []string{"randtree:64"},
+		Algorithms: []AlgoSpec{
+			{Task: Broadcast, Algo: "bgi"},
+			{Task: Broadcast, Algo: "cd17"},
+			{Task: Broadcast, Algo: "truncated-decay"},
+		},
+		Faults:     []string{"none", "crash:0.2@5"},
+		Seeds:      1,
+		MasterSeed: 7,
+	}
+	p, err := m.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Configs) != 6 || len(p.topos) != 1 {
+		t.Fatalf("%d configs over %d products, want 6 over 1", len(p.Configs), len(p.topos))
+	}
+	builds := p.Materialize(2)
+	if len(builds) != 1 || builds[0].First != 0 || builds[0].Key != p.Configs[0].Key {
+		t.Fatalf("builds = %+v, want one build charged to config 0", builds)
+	}
+	g, d := p.Configs[0].G, p.Configs[0].D
+	if g == nil || d <= 0 {
+		t.Fatalf("config 0 not materialized: G=%v D=%d", g, d)
+	}
+	for i := range p.Configs {
+		if p.Configs[i].G != g || p.Configs[i].D != d {
+			t.Fatalf("config %d has its own product (G=%p D=%d), want the shared one (G=%p D=%d)",
+				i, p.Configs[i].G, p.Configs[i].D, g, d)
+		}
+	}
+	if p.Materialize(2) != nil {
+		t.Fatal("second Materialize rebuilt the products")
+	}
+
+	m.Topologies = []string{"randtree:64", "randtree:64"}
+	m.Faults = nil
+	p, err = m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := &p.Configs[0], &p.Configs[len(m.Algorithms)]
+	if first.Key.Seed == second.Key.Seed || first.G == second.G {
+		t.Fatalf("identical topology entries share a product: keys %+v and %+v", first.Key, second.Key)
+	}
+}
+
 func TestExpandRejectsBadMatrices(t *testing.T) {
 	bad := []Matrix{
 		{Algorithms: []AlgoSpec{{Broadcast, "bgi"}}, Seeds: 1},

@@ -37,13 +37,9 @@ type RunStats struct {
 	// anonymous.
 	Wall time.Duration
 	// Setup is the setup-phase wall time: topology materialization (graph
-	// build or precompute-cache load) plus scratch construction, measured
-	// from expansion to the first trial dispatch.
+	// build, diameter estimate, dense adjacency) plus scratch
+	// construction, measured from expansion to the first trial dispatch.
 	Setup time.Duration
-	// Cache is the precompute disk-cache status: "off" (no cache
-	// attached), "cold" (at least one product built from source), "warm"
-	// (every product served without building).
-	Cache string
 	// Workers is the resolved worker-pool size the run executed with.
 	Workers int
 	// Shards is the largest intra-round shard count any configuration ran
@@ -109,7 +105,6 @@ func (c *Campaign) Manifest(tool string, st *RunStats) *obs.Manifest {
 		m.Workers = st.Workers
 		m.WallMS = durMS(st.Wall)
 		m.SetupMS = durMS(st.Setup)
-		m.Cache = st.Cache
 		for _, cs := range st.Configs {
 			rec := obs.ConfigRecord{
 				Name:        cs.Name,

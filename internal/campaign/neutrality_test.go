@@ -6,14 +6,12 @@ import (
 	"testing"
 
 	"radionet/internal/obs"
-	"radionet/internal/precompute"
 )
 
 // TestTelemetryOutputNeutral is the observability acceptance criterion:
-// attaching the full telemetry surface — metrics registry, run stats, the
-// progress stream, and the precompute cache with its hit/miss/build
-// metrics — must leave every sink byte-identical to a bare run, at any
-// worker count. Telemetry observes the campaign; it never participates
+// attaching the full telemetry surface — metrics registry (with its
+// per-product build timers), run stats and the progress stream — must
+// leave every sink byte-identical to a bare run, at any worker count. Telemetry observes the campaign; it never participates
 // in it.
 func TestTelemetryOutputNeutral(t *testing.T) {
 	if testing.Short() {
@@ -27,7 +25,6 @@ func TestTelemetryOutputNeutral(t *testing.T) {
 		c := Campaign{
 			Matrix:   m,
 			Workers:  workers,
-			Cache:    precompute.NewStore(t.TempDir()),
 			Obs:      obs.NewRegistry(),
 			Progress: &progress,
 			Stats:    &st,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"radionet/internal/precompute"
 	"radionet/internal/protocol"
 	"radionet/internal/radio"
 
@@ -99,7 +98,7 @@ func NewScratch(cfg *Config) *Scratch {
 // both descriptors declare the same ScratchKey (e.g. broadcast:cd17 and
 // leader:cd17 share "compete/pre").
 type scratchGroupKey struct {
-	topo    precompute.Key
+	topo    TopoKey
 	scratch string
 }
 

@@ -138,3 +138,17 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 		})
 	}
 }
+
+// TestF5VerdictOrdering pins that the F5 note is computed from the fitted
+// slopes: the claim reads reproduced only when CD17's slope is below
+// BGI's, in either order of the inputs.
+func TestF5VerdictOrdering(t *testing.T) {
+	if got := f5Verdict(0.30, 1.44); !strings.Contains(got, "claim reproduced") {
+		t.Errorf("CD17 flatter than BGI: %q", got)
+	}
+	for _, slopes := range [][2]float64{{2.45, 1.54}, {1.5, 1.5}} {
+		if got := f5Verdict(slopes[0], slopes[1]); !strings.Contains(got, "not reproduced at this scale") {
+			t.Errorf("CD17 slope %v vs BGI %v: %q", slopes[0], slopes[1], got)
+		}
+	}
+}

@@ -265,7 +265,8 @@ func runF4(o Options) *Table {
 }
 
 // runF5 is the optimality reproduction: on paths (n = D+1, i.e. n poly in
-// D), CD17's rounds/D should be flat while BGI's grows with log n.
+// D), CD17's rounds/D should be flat while BGI's grows with log n. The
+// verdict note is computed from the fitted slopes (f5Verdict).
 func runF5(o Options) *Table {
 	t := &Table{
 		ID:         "F5",
@@ -293,14 +294,32 @@ func runF5(o Options) *Table {
 			}
 		}
 	}
+	slopes := map[string]float64{}
 	for _, a := range algos {
 		ph := perHop[a.name]
 		if len(ph) >= 2 {
-			slope := (ph[len(ph)-1] - ph[0]) / (logns[a.name][len(ph)-1] - logns[a.name][0])
-			t.Note("%s: rounds/D from %.1f to %.1f over the sweep (slope %.2f per log2 n); CD17 flat, BGI growing reproduces the O(D) optimality claim; extrapolated crossover where BGI's ~1.4·log2 n exceeds CD17's flat constant", a.name, ph[0], ph[len(ph)-1], slope)
+			slopes[a.name] = stats.FitLine(logns[a.name], ph).Slope
+			t.Note("%s: rounds/D from %.1f to %.1f over the sweep (least-squares slope %.2f per log2 n)", a.name, ph[0], ph[len(ph)-1], slopes[a.name])
 		}
 	}
+	bgiSlope, okB := slopes[algos[0].name]
+	cd17Slope, okC := slopes[algos[1].name]
+	if okB && okC {
+		t.Note("%s", f5Verdict(cd17Slope, bgiSlope))
+	} else {
+		t.Note("O(D) optimality claim undecided: too few completed points to fit both slopes")
+	}
 	return t
+}
+
+// f5Verdict judges the F5 optimality claim from the least-squares slopes
+// of rounds/D against log2 n: it holds only when CD17's per-hop cost grows
+// more slowly than BGI's.
+func f5Verdict(cd17Slope, bgiSlope float64) string {
+	if cd17Slope < bgiSlope {
+		return fmt.Sprintf("O(D) optimality claim reproduced: CD17 slope %.2f < BGI slope %.2f per log2 n", cd17Slope, bgiSlope)
+	}
+	return fmt.Sprintf("O(D) optimality claim not reproduced at this scale: CD17 slope %.2f >= BGI slope %.2f per log2 n", cd17Slope, bgiSlope)
 }
 
 // runF6 toggles the paper's design choices one at a time (Section 2.3's
@@ -321,14 +340,7 @@ func runF6(o Options) *Table {
 		}
 	}
 	d := g.DiameterEstimate()
-	jmid := 0
-	{
-		c, err := compete.New(g, d, compete.Config{}, o.Seed, map[int]int64{0: 9})
-		if err == nil {
-			_ = c
-		}
-		jmid = 2 // middle of the default [0.25,0.75]·log2 D range at these scales
-	}
+	const jmid = 2 // middle of the default [0.25,0.75]·log2 D range at these scales
 	variants := []struct {
 		name string
 		cfg  compete.Config

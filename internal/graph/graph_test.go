@@ -309,3 +309,24 @@ func TestMultiBFSAlive(t *testing.T) {
 		}
 	}
 }
+
+// TestReserve checks Reserve prevents reallocation for the declared count
+// and is safe to call with zero or after edges exist.
+func TestReserve(t *testing.T) {
+	b := NewBuilder("r", 100)
+	b.Reserve(0)
+	b.Reserve(-1)
+	b.AddEdge(0, 1)
+	b.Reserve(50)
+	head := &b.edges[0]
+	for i := 0; i < 50; i++ {
+		b.AddEdge(i, i+2)
+	}
+	if head != &b.edges[0] {
+		t.Fatal("Reserve(50) did not prevent reallocation")
+	}
+	g := b.Build()
+	if g.M() != 51 {
+		t.Fatalf("M = %d, want 51", g.M())
+	}
+}

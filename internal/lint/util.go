@@ -28,7 +28,6 @@ var simPackages = map[string]bool{
 	"radionet/internal/protocol":     true,
 	"radionet/internal/protocol/all": true,
 	"radionet/internal/campaign":     true,
-	"radionet/internal/precompute":   true,
 }
 
 // SimScope reports whether pkgPath is inside the determinism perimeter.

@@ -36,22 +36,12 @@ const (
 	// effective budget is known. >1000 means a composite runner's
 	// documented per-unit floor overshot an explicit budget.
 	TrialBudgetPermille = "trial.budget_used_permille"
-
-	// Precompute cache counters, fed by the campaign/bench setup phase
-	// when a disk-backed precompute store is attached (-cache-dir): cache
-	// files loaded, products rebuilt from source, and cache bytes moved
-	// (read on hits, written on misses). Like every metric they are
-	// strictly output-neutral — the cache changes setup wall time, never
-	// a sink byte.
-	PrecomputeCacheHits   = "precompute.cache.hits"
-	PrecomputeCacheMisses = "precompute.cache.misses"
-	PrecomputeCacheBytes  = "precompute.cache.bytes"
 )
 
 // PrecomputeBuild returns the conventional timer name for one topology
-// product's from-source build wall time:
-// "precompute.build.<spec>@<seed>.wall_us". Recorded only when the product
-// was actually built this run (never on cache or in-memory hits).
+// product's build wall time (graph, diameter estimate, dense adjacency):
+// "precompute.build.<spec>@<seed>.wall_us". The campaign setup phase
+// records one per unique product.
 func PrecomputeBuild(spec string, seed uint64) string {
 	return fmt.Sprintf("precompute.build.%s@%016x.wall_us", spec, seed)
 }

@@ -35,11 +35,11 @@ type ConfigRecord struct {
 	WallMSTotal float64 `json:"wall_ms_total"`
 	WallMSMean  float64 `json:"wall_ms_mean"`
 	// SetupMS is the setup wall time attributed to this configuration:
-	// its share of topology materialization (graph build or cache load)
-	// and scratch construction. Deduplicated products are charged to the
-	// first configuration referencing them, so most records report 0
-	// (omitted — also keeping manifests from producers predating the
-	// setup split byte-stable).
+	// its share of topology materialization (graph build, diameter
+	// estimate, dense adjacency) and scratch construction. Deduplicated
+	// products are charged to the first configuration referencing them,
+	// so most records report 0 (omitted — also keeping manifests from
+	// producers predating the setup split byte-stable).
 	SetupMS float64 `json:"setup_ms,omitempty"`
 }
 
@@ -66,11 +66,6 @@ type Manifest struct {
 	// scratch construction, before the first trial), excluded from WallMS.
 	// Omitted by producers predating the setup split.
 	SetupMS float64 `json:"setup_ms,omitempty"`
-	// Cache reports the precompute disk-cache status for the run: "off"
-	// (no cache directory), "cold" (at least one product rebuilt from
-	// source), or "warm" (every product served from cache or memory).
-	// Omitted by producers predating the cache.
-	Cache string `json:"cache,omitempty"`
 	// Configs are the per-configuration records, in run order.
 	Configs []ConfigRecord `json:"configs"`
 	// Metrics is the final registry snapshot.

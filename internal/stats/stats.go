@@ -136,6 +136,22 @@ func FitPower(xs, ys []float64) PowerFit {
 	return PowerFit{Coeff: math.Exp(intercept), Exp: slope, R2: r2}
 }
 
+// LineFit is the least-squares fit y ≈ Intercept + Slope·x, with R2 the
+// coefficient of determination.
+type LineFit struct {
+	Slope, Intercept, R2 float64
+}
+
+// FitLine fits y = a + b·x by ordinary least squares over every point. It
+// panics if fewer than two paired points are supplied.
+func FitLine(xs, ys []float64) LineFit {
+	if len(xs) != len(ys) || len(xs) < 2 {
+		panic("stats: FitLine needs >= 2 paired points")
+	}
+	slope, intercept, r2 := linreg(xs, ys)
+	return LineFit{Slope: slope, Intercept: intercept, R2: r2}
+}
+
 // linreg returns the least-squares slope, intercept and R² of y on x.
 func linreg(xs, ys []float64) (slope, intercept, r2 float64) {
 	mx, my := Mean(xs), Mean(ys)

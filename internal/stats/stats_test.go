@@ -87,6 +87,25 @@ func TestFitPowerNoisy(t *testing.T) {
 	}
 }
 
+func TestFitLine(t *testing.T) {
+	// y = 2.5 + 0.5 x exactly, over every point (not just the endpoints).
+	f := FitLine([]float64{6, 7, 8, 9}, []float64{5.5, 6, 6.5, 7})
+	if !almost(f.Slope, 0.5, 1e-9) || !almost(f.Intercept, 2.5, 1e-9) || !almost(f.R2, 1, 1e-9) {
+		t.Fatalf("fit %+v", f)
+	}
+	// An interior outlier moves the least-squares slope but not the
+	// endpoint one: 0, 10, 0, 0 fits slope -1.
+	if f := FitLine([]float64{0, 1, 2, 3}, []float64{0, 10, 0, 0}); !almost(f.Slope, -1, 1e-9) {
+		t.Fatalf("outlier fit %+v, want slope -1", f)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for a single point")
+		}
+	}()
+	FitLine([]float64{1}, []float64{1})
+}
+
 func TestFitPowerPanics(t *testing.T) {
 	for _, tc := range [][2][]float64{
 		{{1}, {1}},
