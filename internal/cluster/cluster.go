@@ -30,68 +30,104 @@ import (
 // to the center.
 type Result struct {
 	Beta   float64
-	Center []int32   // Center[v] = v's cluster center
-	Parent []int32   // forest edges toward the center; Parent[center] = -1
+	Center []int32 // Center[v] = v's cluster center
+	// Parent[v] is the first-settled neighbor of v on a shortest
+	// in-cluster path to Center[v]; Parent[center] = -1. Among several
+	// such neighbors the choice follows settle order, so only the forest
+	// invariants that Validate checks are part of the contract.
+	Parent []int32
 	Dist   []int32   // hop distance from v to Center[v]
 	Delta  []float64 // the exponential shifts used
 
 	g *graph.Graph
 }
 
-// item is a priority-queue entry for the multi-source Dijkstra.
-type item struct {
-	key    float64 // dist(u, v) - δ_v, to be minimized
-	node   int32
-	center int32
-	parent int32
-	dist   int32
-}
-
-// The priority queue is a hand-rolled binary min-heap over the concrete
-// item type. The sift routines replicate container/heap's up/down moves
-// (same comparisons, same swaps), so the pop order — including the order
-// of equal keys — is exactly what heap.Init/Push/Pop produced before the
-// rewrite; what changed is that pushes no longer box every item through
-// an interface allocation, which dominated Partition's cost.
-
-func heapUp(q []item, j int) {
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if q[j].key >= q[i].key {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func heapDown(q []item, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && q[j2].key < q[j1].key {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if q[j].key >= q[i].key {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-}
-
-// Scratch holds reusable Partition buffers (the priority-queue backing
-// array and the settled bitmap), letting callers that build many
-// partitions of one graph — the Compete precomputation, trial campaigns —
-// skip the per-call allocations. The zero value is ready to use; a Scratch
-// is not safe for concurrent use.
+// Scratch holds reusable Partition buffers (the source order, the radix
+// sort's second buffers, the relaxation FIFO and the node states),
+// letting callers that build many partitions of one graph — the Compete
+// precomputation, trial campaigns — skip the per-call allocations. The
+// zero value is ready to use; a Scratch is not safe for concurrent use.
 type Scratch struct {
-	pq      []item
-	settled []bool
+	key, keyTmp []uint64 // source keys (sourceKey form); keyTmp later holds queued keys
+	id, idTmp   []int32  // source order; idTmp later holds the FIFO
+	state       []uint8  // unseen, queued or settled
+}
+
+// Node states of the merge.
+const (
+	unseen uint8 = iota
+	queued
+	settled
+)
+
+func (s *Scratch) grow(n int) {
+	if cap(s.key) < n {
+		s.key, s.keyTmp = make([]uint64, n), make([]uint64, n)
+		s.id, s.idTmp = make([]int32, n), make([]int32, n)
+		s.state = make([]uint8, n)
+	}
+}
+
+// sourceKey maps a non-NaN float to a uint64 whose unsigned order is the
+// float order: flip every bit of a negative value, only the sign bit of a
+// non-negative one. −0 is first folded into +0, so keys that compare
+// equal as floats map to equal integers.
+func sourceKey(f float64) uint64 {
+	if f == 0 {
+		f = 0
+	}
+	b := math.Float64bits(f)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// keyFloat inverts sourceKey.
+func keyFloat(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// sortSources orders s.key[:n] ascending and carries s.id[:n] along with
+// an LSD radix sort, 8 passes of 8 bits. Each pass is stable, so equal
+// keys keep their id order. A pass whose byte is the same for every key
+// moves nothing and is skipped.
+func (s *Scratch) sortSources(n int) {
+	if n == 0 {
+		return
+	}
+	var count [8][256]int32
+	for _, k := range s.key[:n] { // unrolled: a loop over p costs half the sort
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
+	}
+	for p := range count {
+		c := &count[p]
+		shift := 8 * p
+		if c[byte(s.key[0]>>shift)] == int32(n) {
+			continue
+		}
+		var sum int32
+		for b, k := range c {
+			c[b] = sum
+			sum += k
+		}
+		src, dst := s.key[:n], s.keyTmp[:n]
+		srcID, dstID := s.id[:n], s.idTmp[:n]
+		for i, k := range src {
+			b := byte(k >> shift)
+			dst[c[b]], dstID[c[b]] = k, srcID[i]
+			c[b]++
+		}
+		s.key, s.keyTmp = s.keyTmp, s.key
+		s.id, s.idTmp = s.idTmp, s.id
+	}
 }
 
 // Partition runs the centralized Partition(β) on g using randomness from
@@ -116,71 +152,76 @@ func PartitionScratch(g *graph.Graph, beta float64, r *rng.Rand, scr *Scratch) *
 		Delta:  make([]float64, n),
 		g:      g,
 	}
-	var q []item
-	var settled []bool
-	if scr != nil {
-		q = scr.pq[:0]
-		if cap(scr.settled) >= n {
-			settled = scr.settled[:n]
-			clear(settled)
-		}
-	}
-	if settled == nil {
-		settled = make([]bool, n)
-	}
-	if cap(q) < n {
-		q = make([]item, 0, n)
-	}
-	for v := 0; v < n; v++ {
-		res.Center[v] = -1
-		res.Parent[v] = -1
+	for v := range res.Delta {
 		res.Delta[v] = r.Exp(beta)
 	}
-	// Multi-source Dijkstra: node v is a virtual source with offset -δ_v;
-	// the first settlement of u determines its center. Unit edge weights
-	// mean the settled path is a shortest path to the center, and by the
-	// MPX argument every node on it belongs to the same cluster, so Dist
-	// is the strong (intra-cluster) distance to the center.
-	for v := 0; v < n; v++ {
-		q = append(q, item{key: -res.Delta[v], node: int32(v), center: int32(v), parent: -1})
+	if scr == nil {
+		scr = new(Scratch)
 	}
-	for i := n/2 - 1; i >= 0; i-- { // heap.Init
-		heapDown(q, i, n)
+	scr.settle(g, res)
+	return res
+}
+
+// settle assigns every node of res to a center given the shifts in
+// res.Delta. It is a multi-source Dijkstra in which node v is a virtual
+// source with key −δ_v and the first settlement of u determines its
+// center. Unit edge weights mean the settled path is a shortest path to
+// the center, and by the MPX argument every node on it belongs to the
+// same cluster, so Dist is the strong (intra-cluster) distance.
+//
+// Unit weights also make a heap unnecessary. Settled keys never
+// decrease, so the relaxations, each keyed one more than the key just
+// settled, arrive in sorted order and fit a FIFO; the sources are sorted
+// once up front. The loop pops the smaller of the two heads, taking the
+// source on equal keys. A node's first relaxation carries its smallest
+// relaxation key, so each node is queued at most once and the pass is
+// O(n + m) after the sort.
+func (s *Scratch) settle(g *graph.Graph, res *Result) {
+	n := len(res.Delta)
+	s.grow(n)
+	for v, d := range res.Delta {
+		s.key[v] = sourceKey(-d)
+		s.id[v] = int32(v)
 	}
-	remaining := n
-	for remaining > 0 && len(q) > 0 {
-		last := len(q) - 1 // heap.Pop
-		q[0], q[last] = q[last], q[0]
-		heapDown(q, 0, last)
-		it := q[last]
-		q = q[:last]
-		v := it.node
-		if settled[v] {
-			continue
+	s.sortSources(n)
+	src, srcID := s.key[:n], s.id[:n]
+	qkey, fifo := s.keyTmp[:n], s.idTmp[:n] // qkey indexed by node
+	state := s.state[:n]
+	clear(state)
+	center, parent, dist := res.Center, res.Parent, res.Dist
+	i, head, tail := 0, 0, 0
+	for remaining := n; remaining > 0; {
+		var v int32
+		var k uint64
+		if head == tail || src[i] <= qkey[fifo[head]] {
+			v, k = srcID[i], src[i]
+			i++
+			if state[v] == settled {
+				continue
+			}
+			center[v], parent[v], dist[v] = v, -1, 0
+		} else {
+			v = fifo[head]
+			head++
+			if state[v] == settled {
+				continue
+			}
+			k = qkey[v]
 		}
-		settled[v] = true
+		state[v] = settled
 		remaining--
-		res.Center[v] = it.center
-		res.Parent[v] = it.parent
-		res.Dist[v] = it.dist
+		next := sourceKey(keyFloat(k) + 1)
+		c, d := center[v], dist[v]+1
 		for _, w := range g.Neighbors(int(v)) {
-			if !settled[w] {
-				q = append(q, item{ // heap.Push
-					key:    it.key + 1,
-					node:   w,
-					center: it.center,
-					parent: v,
-					dist:   it.dist + 1,
-				})
-				heapUp(q, len(q)-1)
+			if state[w] == unseen {
+				state[w] = queued
+				center[w], parent[w], dist[w] = c, v, d
+				qkey[w] = next
+				fifo[tail] = w
+				tail++
 			}
 		}
 	}
-	if scr != nil {
-		scr.pq = q[:0]
-		scr.settled = settled
-	}
-	return res
 }
 
 // NumClusters returns the number of distinct cluster centers.
