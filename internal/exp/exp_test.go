@@ -152,3 +152,25 @@ func TestF5VerdictOrdering(t *testing.T) {
 		}
 	}
 }
+
+func TestAblationVerdict(t *testing.T) {
+	def := seedRuns{rounds: []float64{100, 200, 300}, done: []bool{true, true, true}}
+	tests := []struct {
+		name   string
+		rounds []float64
+		done   []bool
+		want   string
+	}{
+		{"more on every seed", []float64{101, 250, 301}, []bool{true, true, true}, "load-bearing"},
+		{"one run hit the cap", []float64{90, 190, 800}, []bool{true, true, false}, "load-bearing"},
+		{"fewer on every seed", []float64{99, 150, 10}, []bool{true, true, true}, "counter-productive at this scale"},
+		{"mixed", []float64{120, 150, 300}, []bool{true, true, true}, "undecided"},
+		{"equal on one seed", []float64{100, 250, 400}, []bool{true, true, true}, "undecided"},
+	}
+	for _, tc := range tests {
+		got, _, _ := ablationVerdict(def, seedRuns{rounds: tc.rounds, done: tc.done})
+		if got != tc.want {
+			t.Errorf("%s: verdict %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

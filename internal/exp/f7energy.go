@@ -2,6 +2,7 @@ package exp
 
 import (
 	"radionet/internal/graph"
+	"radionet/internal/stats"
 )
 
 func init() {
@@ -33,13 +34,13 @@ func runF7(o Options) *Table {
 	for _, g := range gs {
 		d := g.DiameterEstimate()
 		for _, a := range algos {
-			rounds, tx, all := meanRoundsTx(o, a, g, d, o.Seed+9, seeds)
+			runs := runSeeds(o, a, g, d, o.Seed+9, seeds)
+			rounds, tx := stats.Mean(runs.rounds), stats.Mean(runs.tx)
 			perNodeRound := 0.0
 			if rounds > 0 {
 				perNodeRound = tx / (rounds * float64(g.N()))
 			}
 			t.AddRow(g.Name(), g.N(), d, a.name, rounds, tx, perNodeRound)
-			_ = all
 		}
 	}
 	t.Note("BGI/CR-KP transmit only after being informed; CD17's clustering lanes keep a low duty cycle per node but spend energy network-wide from round 0")

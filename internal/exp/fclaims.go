@@ -72,20 +72,25 @@ func comparableBroadcastAlgos() []broadcastAlgo {
 // meanRounds runs algo for the given seeds through the campaign executor
 // and returns the mean round count and whether all runs completed.
 func meanRounds(o Options, a broadcastAlgo, g *graph.Graph, d int, baseSeed uint64, seeds int) (float64, bool) {
-	m, _, ok := meanRoundsTx(o, a, g, d, baseSeed, seeds)
-	return m, ok
+	r := runSeeds(o, a, g, d, baseSeed, seeds)
+	return stats.Mean(r.rounds), all(r.done)
 }
 
-// meanRoundsTx additionally returns the mean transmission count.
-func meanRoundsTx(o Options, a broadcastAlgo, g *graph.Graph, d int, baseSeed uint64, seeds int) (float64, float64, bool) {
-	rs := make([]float64, seeds)
-	txs := make([]float64, seeds)
-	ok := make([]bool, seeds)
+// seedRuns holds one algorithm's results per seed, indexed by the seed's
+// offset from the base seed.
+type seedRuns struct {
+	rounds, tx []float64
+	done       []bool
+}
+
+// runSeeds runs algo for the given seeds through the campaign executor.
+func runSeeds(o Options, a broadcastAlgo, g *graph.Graph, d int, baseSeed uint64, seeds int) seedRuns {
+	r := seedRuns{rounds: make([]float64, seeds), tx: make([]float64, seeds), done: make([]bool, seeds)}
 	o.forEach(seeds, func(s int) {
-		r, tx, done := a.run(g, d, baseSeed+uint64(s))
-		rs[s], txs[s], ok[s] = float64(r), float64(tx), done
+		rounds, tx, done := a.run(g, d, baseSeed+uint64(s))
+		r.rounds[s], r.tx[s], r.done[s] = float64(rounds), float64(tx), done
 	})
-	return stats.Mean(rs), stats.Mean(txs), all(ok)
+	return r
 }
 
 // gridFamily returns n≈const grids with varying diameter.
@@ -356,20 +361,52 @@ func runF6(o Options) *Table {
 	if !ok {
 		panic("exp: cd17 not registered")
 	}
-	var base float64
+	var def seedRuns
+	var verdicts []string
 	for i, v := range variants {
 		a := regAlgo(cd17Desc, v.cfg)
 		a.name = v.name
-		m, all := meanRounds(o, a, g, d, o.Seed+7, seeds)
+		runs := runSeeds(o, a, g, d, o.Seed+7, seeds)
+		m := stats.Mean(runs.rounds)
 		if i == 0 {
-			base = m
+			def = runs
+		} else {
+			verdict, more, fewer := ablationVerdict(def, runs)
+			verdicts = append(verdicts, fmt.Sprintf("%s: %s (more rounds than default on %d of %d seeds, fewer on %d)",
+				v.name, verdict, more, seeds, fewer))
 		}
 		rel := "1.00x"
-		if base > 0 {
+		if base := stats.Mean(def.rounds); base > 0 {
 			rel = fmt.Sprintf("%.2fx", m/base)
 		}
-		t.AddRow(v.name, m, rel, all)
+		t.AddRow(v.name, m, rel, all(runs.done))
 	}
-	t.Note("runs capped at 8x budget; a variant reported not-all-done hit the cap (the ablated mechanism is load-bearing)")
+	t.Note("runs capped at 8x budget; a variant reported not-all-done hit the cap")
+	for _, v := range verdicts {
+		t.Note("%s", v)
+	}
 	return t
+}
+
+// ablationVerdict judges an ablated variant against the default run on the
+// same seeds: "load-bearing" if the variant took more rounds on every
+// seed or any of its runs hit the cap, "counter-productive at this scale"
+// if it took fewer on every seed, "undecided" otherwise. It also returns
+// on how many seeds the variant took more and fewer rounds.
+func ablationVerdict(def, v seedRuns) (verdict string, more, fewer int) {
+	for s, r := range v.rounds {
+		switch {
+		case r > def.rounds[s]:
+			more++
+		case r < def.rounds[s]:
+			fewer++
+		}
+	}
+	switch n := len(v.rounds); {
+	case more == n || !all(v.done):
+		return "load-bearing", more, fewer
+	case fewer == n:
+		return "counter-productive at this scale", more, fewer
+	}
+	return "undecided", more, fewer
 }
